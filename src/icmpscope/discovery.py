@@ -19,6 +19,7 @@ import numpy as np
 import sympy
 
 from icmpscope._mix import mix64
+from icmpscope._spans import SpanTable
 from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation, ProbePacket
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan, TransportError
 
@@ -186,7 +187,7 @@ def run_discovery(
         prefix: _target_index_iter(prefix, caps.probe_cap, seed) for prefix in prefixes
     }
     # Sorted spans for assigning returned pairs to their prefix.
-    spans = sorted((int(p[0]), int(p[-1]), p) for p in prefixes)
+    spans = SpanTable((int(p[0]), int(p[-1]), p) for p in prefixes)
     pid_counter = itertools.count(1)
     schedule: list[tuple[int, IPv6Network]] = []
     aborted = False
@@ -232,7 +233,7 @@ def run_discovery(
 
         for obs in observations:
             pair = extract_pair(obs)
-            prefix = _prefix_of(spans, pair.target)
+            prefix = spans.find(int(pair.target))
             if prefix is None:
                 continue
             st = states[prefix]
@@ -263,18 +264,3 @@ def _target_index_iter(prefix: IPv6Network, probe_cap: int, seed: int) -> Iterat
     n = min(space, probe_cap)
     per_prefix_seed = mix64(seed, int(prefix[0]) & ((1 << 64) - 1), prefix.prefixlen)
     return (v - 1 for v in cyclic_permutation(n, per_prefix_seed))
-
-
-def _prefix_of(spans: list[tuple[int, int, IPv6Network]], addr: IPv6Address) -> IPv6Network | None:
-    value = int(addr)
-    lo, hi = 0, len(spans)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if spans[mid][0] <= value:
-            lo = mid + 1
-        else:
-            hi = mid
-    lo -= 1
-    if lo >= 0 and value <= spans[lo][1]:
-        return spans[lo][2]
-    return None

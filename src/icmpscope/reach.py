@@ -106,12 +106,20 @@ class CoordinateMap:
     """Address or prefix -> (lat, lon), resolved by longest matching prefix."""
 
     def __init__(self, entries: Sequence[tuple[IPv6Network, float, float]]) -> None:
-        self._entries = sorted(entries, key=lambda e: e[0].prefixlen, reverse=True)
+        # One table per prefix length, keyed by the address bits above the host
+        # part; the first entry for a duplicated prefix wins.
+        by_shift: dict[int, dict[int, tuple[float, float]]] = {}
+        for net, lat, lon in entries:
+            shift = 128 - net.prefixlen
+            by_shift.setdefault(shift, {}).setdefault(int(net.network_address) >> shift, (lat, lon))
+        self._tables = sorted(by_shift.items())  # longest prefix first
 
     def lookup(self, addr: IPv6Address) -> tuple[float, float]:
-        for net, lat, lon in self._entries:
-            if addr in net:
-                return lat, lon
+        value = int(addr)
+        for shift, table in self._tables:
+            hit = table.get(value >> shift)
+            if hit is not None:
+                return hit
         raise KeyError(f"no coordinates cover {addr}")
 
     def distance_km(self, a: IPv6Address, b: IPv6Address) -> float:

@@ -13,6 +13,7 @@ from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 
+from icmpscope._spans import SpanTable
 from icmpscope.model import IcmpKind, parse_address, parse_prefix
 from icmpscope.simnet.limiter import (
     LimiterScope,
@@ -111,13 +112,12 @@ class SimConfig:
                 raise SimConfigError(f"duplicate address {h.address}")
             seen.add(h.address)
 
-        spans = sorted((int(r.served_prefix[0]), int(r.served_prefix[-1])) for r in self.routers)
-        for (lo1, hi1), (lo2, _hi2) in zip(spans, spans[1:]):
-            if lo2 <= hi1:
-                raise SimConfigError("router served prefixes overlap")
+        served = SpanTable((int(r.served_prefix[0]), int(r.served_prefix[-1]), r) for r in self.routers)
+        if served.overlaps():
+            raise SimConfigError("router served prefixes overlap")
 
         for h in self.hosts:
-            if not any(h.address in r.served_prefix for r in self.routers):
+            if served.find(int(h.address)) is None:
                 raise SimConfigError(f"host {h.address} outside every served prefix")
 
         endpoints = {self.prober} | {r.address for r in self.routers}

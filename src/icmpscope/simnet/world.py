@@ -9,6 +9,13 @@ Everything is deterministic for a fixed config: loss and jitter draws are
 keyed by (world seed, packet uid, link), packet uids are assigned in event
 order, and heap ties break on a monotonic sequence number.
 
+Lookups are indexed once at construction. Directed cut edges become, per
+destination, one sorted list of merged source spans (nested, duplicate and
+touching cut prefixes fused), so a packet's cut check is a single bisection;
+served prefixes resolve to their site the same way. The world keeps no
+per-packet log: ``_uid`` counts packets sent and ``_seq`` counts those that
+were scheduled for arrival.
+
 Second-order traffic matters here: an echo reply that lands on a router whose
 served prefix contains an unreachable destination consumes that router's
 error budget even though the resulting error message goes back to the reply's
@@ -17,10 +24,12 @@ source, not to the prober. That token drain is the observable side channel.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from heapq import heappop, heappush
 from ipaddress import IPv6Address
 
 from icmpscope._mix import mix_unit as _mix_unit
+from icmpscope._spans import SpanTable, merge_spans
 from icmpscope.model import IcmpKind, IcmpObservation, ProbePacket
 from icmpscope.simnet.config import SimConfig, SimConfigError
 from icmpscope.simnet.limiter import LimiterBank
@@ -52,10 +61,8 @@ class SimWorld:
         self._uid = 0
         self.clock = 0
         self.observations: list[IcmpObservation] = []
-        self.emitted: list[tuple[int, int, int, int | None]] = []  # (t, src, dst, probe_id)
 
         self._router_by_addr: dict[int, _RouterRec] = {}
-        recs = []
         for r in cfg.routers:
             rec = _RouterRec(
                 int(r.address),
@@ -67,11 +74,8 @@ class SimWorld:
                 LimiterBank(r.limiter),
             )
             self._router_by_addr[rec.addr] = rec
-            recs.append(rec)
-        recs.sort(key=lambda rec: rec.lo)
-        self._pref_lo = [rec.lo for rec in recs]
-        self._pref_hi = [rec.hi for rec in recs]
-        self._pref_rec = recs
+        # Served prefix -> router address; disjoint by config validation.
+        self._prefix_site = SpanTable((rec.lo, rec.hi, rec.addr) for rec in self._router_by_addr.values()).find
 
         self._hosts: dict[int, tuple[bool, int]] = {}
         for h in cfg.hosts:
@@ -83,28 +87,19 @@ class SimWorld:
         for idx, ((a, b), m) in enumerate(sorted(cfg.links.items(), key=lambda kv: (int(kv[0][0]), int(kv[0][1])))):
             self._links[(int(a), int(b))] = (idx, m.base_owd_ms, m.jitter_frac, m.loss_prob)
 
-        self._cuts_by_dst: dict[int, list[tuple[int, int]]] = {}
+        # Cut source prefixes per destination, merged so that one bisection
+        # answers "is the sender cut off?" even for nested or duplicate cuts.
+        cut_spans: dict[int, list[tuple[int, int]]] = {}
         for prefix, dst in cfg.unreachable_pairs:
-            self._cuts_by_dst.setdefault(int(dst), []).append((int(prefix[0]), int(prefix[-1])))
+            cut_spans.setdefault(int(dst), []).append((int(prefix[0]), int(prefix[-1])))
+        self._cuts_by_dst: dict[int, SpanTable[None]] = {
+            dst: SpanTable((lo, hi, None) for lo, hi in merge_spans(spans))
+            for dst, spans in cut_spans.items()
+        }
 
         self._addr_cache: dict[int, IPv6Address] = {}
 
     # -- address/site resolution ----------------------------------------
-
-    def _prefix_site(self, addr: int) -> int | None:
-        lo = self._pref_lo
-        # bisect_right without the import indirection in the hot path
-        i, j = 0, len(lo)
-        while i < j:
-            mid = (i + j) // 2
-            if lo[mid] <= addr:
-                i = mid + 1
-            else:
-                j = mid
-        i -= 1
-        if i >= 0 and addr <= self._pref_hi[i]:
-            return self._pref_rec[i].addr
-        return None
 
     def _site_of(self, addr: int) -> int | None:
         if addr == self._prober:
@@ -128,11 +123,10 @@ class SimWorld:
     def inject(self, t_ms: int, pkt: ProbePacket) -> None:
         """Emit a probe from the local prober at absolute time ``t_ms``."""
         if pkt.kind is not IcmpKind.ECHO_REQUEST:
-            raise ValueError("only echo requests can be emitted")
-        src = int(pkt.src)
-        dst = int(pkt.dst)
-        self.emitted.append((t_ms, src, dst, pkt.probe_id))
-        self._send(t_ms, IcmpKind.ECHO_REQUEST, src, dst, None, pkt.probe_id, self._prober, self._prober)
+            raise ValueError("the prober injects only echo requests")
+        self._send(
+            t_ms, IcmpKind.ECHO_REQUEST, int(pkt.src), int(pkt.dst), None, pkt.probe_id, self._prober, self._prober
+        )
 
     def _send(
         self,
@@ -147,11 +141,11 @@ class SimWorld:
     ) -> None:
         uid = self._uid
         self._uid = uid + 1
-        cuts = self._cuts_by_dst.get(dst)
-        if cuts is not None:
-            for lo, hi in cuts:
-                if lo <= sender <= hi:
-                    return
+        cut = self._cuts_by_dst.get(dst)
+        if cut is not None:
+            i = bisect_right(cut.los, sender)
+            if i and sender <= cut.his[i - 1]:
+                return
         to_site = self._site_of(dst)
         if to_site is None:
             return

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from ipaddress import IPv6Network
 
 import pytest
 
@@ -95,6 +96,30 @@ def test_coordinate_map_longest_prefix_wins():
     assert geo.lookup(parse_address("2001:db8:2::5")) == (10.0, 10.0)
     with pytest.raises(KeyError):
         geo.lookup(parse_address("2001:db9::1"))
+
+
+def test_coordinate_map_first_duplicate_wins():
+    geo = CoordinateMap(
+        [
+            (parse_prefix("2001:db8:1::/48"), 1.0, 1.0),
+            (parse_prefix("2001:db8:1::/48"), 2.0, 2.0),
+        ]
+    )
+    assert geo.lookup(parse_address("2001:db8:1::5")) == (1.0, 1.0)
+
+
+def test_coordinate_map_host_route_inside_prefix():
+    host = parse_address("2001:db8:1::7")
+    geo = CoordinateMap(
+        [
+            (parse_prefix("2001:db8:1::/48"), 10.0, 10.0),
+            (IPv6Network((int(host), 128)), 20.0, 20.0),
+        ]
+    )
+    assert geo.lookup(host) == (20.0, 20.0)
+    assert geo.lookup(parse_address("2001:db8:1::8")) == (10.0, 10.0)
+    with pytest.raises(KeyError, match="no coordinates cover 2001:db8:2::7"):
+        geo.lookup(parse_address("2001:db8:2::7"))
 
 
 def reach_world(n_targets=12, n_cut=4, seed=6, **kwargs):

@@ -1,5 +1,6 @@
 import json
 import random
+from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 
@@ -13,6 +14,7 @@ from icmpscope.simnet import (
     SimConfigError,
     SimHost,
     SimRouter,
+    SimWorld,
     StrictSingle,
     TokenBucket,
     TokenBucketState,
@@ -256,6 +258,69 @@ def test_cut_edge_suppresses_directed_traffic_only():
     assert len([o for o in obs2 if o.kind is IcmpKind.DEST_UNREACHABLE]) < 10
 
 
+# -- cut index ----------------------------------------------------------------
+
+# Three adjacent /32 sites; cut prefixes are cut from a few nearby anchors at
+# a few lengths, so draws nest (/32 > /40 > /48), touch (ab12/48 and ab13/48)
+# and repeat.
+CUT_SITES = ("2001:db7", "2001:db8", "2001:db9")
+CUT_ANCHORS = tuple(
+    int(parse_address(a))
+    for a in ("2001:db8:ab12::5", "2001:db8:ab13::", "2001:db8:ab11:ffff::1",
+              "2001:db8:ab00::", "2001:db8:ffff:ffff::", "2001:db9::")
+)
+CUT_LENGTHS = (32, 40, 44, 47, 48, 49, 56, 64)
+
+
+def cut_index_config(rng):
+    routers = [
+        SimRouter(address=parse_address(f"{site}::1"), served_prefix=parse_prefix(f"{site}::/32"),
+                  limiter=Unlimited())
+        for site in CUT_SITES
+    ]
+    dsts = [PROBER] + [r.address for r in routers]
+    main_dst = rng.choice(dsts)
+    cuts = set()
+    for _ in range(rng.randint(1, 12)):
+        prefix = IPv6Network((rng.choice(CUT_ANCHORS), rng.choice(CUT_LENGTHS)), strict=False)
+        cuts.add((prefix, main_dst if rng.random() < 0.8 else rng.choice(dsts)))
+    return SimConfig(prober=PROBER, routers=routers, unreachable_pairs=cuts, seed=rng.getrandbits(32))
+
+
+def cut_index_senders(rng, cfg):
+    out = [int(cfg.prober)]
+    for prefix, _dst in cfg.unreachable_pairs:
+        lo, hi = int(prefix[0]), int(prefix[-1])
+        out += [lo - 1, lo, hi, hi + 1, rng.randint(lo, hi)]
+    out += [a + rng.randint(-(1 << 80), 1 << 80) for a in CUT_ANCHORS]
+    first = int(parse_prefix(f"{CUT_SITES[0]}::/32")[0])
+    last = int(parse_prefix(f"{CUT_SITES[-1]}::/32")[-1])
+    return [s for s in out if first <= s <= last]  # the prober sits inside 2001:db8::/32
+
+
+def world_drops_as_cut(world, sender, dst):
+    """Whether ``SimWorld._send`` discards a packet from ``sender`` to ``dst``.
+
+    The packet leaves from the destination's own site, so no link, loss or
+    delay applies and only the cut check can drop it.
+    """
+    queued = len(world._heap)
+    world._send(0, IcmpKind.ECHO_REPLY, sender, dst, None, None, world._site_of(dst), sender)
+    return len(world._heap) == queued
+
+
+def test_cut_index_matches_linear_oracle_on_nested_cuts():
+    rng = random.Random(2022)
+    for _ in range(150):
+        cfg = cut_index_config(rng)
+        world = SimWorld(cfg)
+        dsts = [cfg.prober] + [r.address for r in cfg.routers]
+        for sender in cut_index_senders(rng, cfg):
+            for dst in dsts:
+                expected = not oracle_reachable(cfg, IPv6Address(sender), dst)
+                assert world_drops_as_cut(world, sender, int(dst)) == expected, (sender, dst)
+
+
 # -- single-router handler ----------------------------------------------------
 
 
@@ -371,6 +436,13 @@ def test_config_rejects_overlapping_prefixes():
                   served_prefix=parse_prefix("2001:db8:1:2::/64"), limiter=Unlimited())
     )
     with pytest.raises(SimConfigError):
+        cfg.validate()
+
+
+def test_config_rejects_host_outside_every_served_prefix():
+    cfg = star_config(Unlimited())
+    cfg.hosts.append(SimHost(parse_address("2001:db8:2::b")))
+    with pytest.raises(SimConfigError, match="host 2001:db8:2::b outside every served prefix"):
         cfg.validate()
 
 

@@ -56,11 +56,12 @@ def test_now_is_monotone_and_advances_by_window():
 
 
 def test_sim_emission_times_equal_requested_offsets():
-    tp = make_transport()
+    # Unlimited router, 10 ms each way, no jitter: every error arrives 20 ms
+    # after its probe left, so arrival times give back the emission times.
+    tp = make_transport(Unlimited(), owd=10.0, jitter=0.0)
     plan = SendPlan(tuple(burst(DEAD, 10, spacing=7)))
-    tp.execute(plan, CollectWindow(duration_ms=300))
-    emitted = tp.world.emitted
-    assert [t for t, _src, _dst, _pid in emitted] == [7 * i for i in range(10)]
+    obs = tp.execute(plan, CollectWindow(duration_ms=300))
+    assert [o.received_at - 20 for o in obs] == [7 * i for i in range(10)]
 
 
 def test_rate_cap_rejects_oversubscribed_plan():
