@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from ipaddress import IPv6Network
 from pathlib import Path
@@ -20,14 +19,16 @@ from icmpscope import fileio
 from icmpscope.discovery import DiscoveryCaps, run_discovery
 from icmpscope.isav import (
     IsavCategory,
+    IsavVerdict,
+    RcvTriple,
     aggregate_as,
     run_isav_campaign,
     run_supplemental_echo,
     select_rvp,
 )
-from icmpscope.model import MeasurementParams, parse_address, spoof_sources
-from icmpscope.ratelimit import BurstPacer, NoiseSpec, classify, measure_rcv
-from icmpscope.reach import evaluate, run_reach_campaign
+from icmpscope.model import MeasurementParams, parse_address, parse_prefix
+from icmpscope.ratelimit import BurstPacer, MeasureTarget, classify_limiters
+from icmpscope.reach import ReachCategory, ReachVerdict, evaluate, run_reach_campaign
 from icmpscope.simnet.config import SimConfig, oracle_rl_class
 from icmpscope.simnet import scenarios
 from icmpscope.transport import RawTransport, SimTransport, TransportError
@@ -135,10 +136,9 @@ def _out_dir(config: dict, args: argparse.Namespace) -> Path:
     return out
 
 
-def _manifest_load(path: Path) -> set[str]:
-    if not path.is_file():
-        return set()
-    return {record["unit"] for record in fileio.read_jsonl(path)}
+def _load_records(path: Path) -> list[dict]:
+    """Every record in an append-only output file; none if it does not exist yet."""
+    return list(fileio.read_jsonl(path)) if path.is_file() else []
 
 
 def _containing_48(addr) -> "IPv6Network":
@@ -305,7 +305,7 @@ def cmd_isav(args: argparse.Namespace) -> int:
 
     verdict_path = out / "isav_verdicts.jsonl"
     manifest_path = out / "isav_manifest.jsonl"
-    done_units = _manifest_load(manifest_path) if args.resume else set()
+    done_units = {r["unit"] for r in _load_records(manifest_path)} if args.resume else set()
     if not args.resume:
         verdict_path.unlink(missing_ok=True)
         manifest_path.unlink(missing_ok=True)
@@ -319,17 +319,8 @@ def cmd_isav(args: argparse.Namespace) -> int:
             continue
         scored = []
         for pair in plist[:candidates_per_prefix]:
-            pacer.pace(pair.periphery)
-            sample = measure_rcv(
-                pair.target,
-                pair.error_kind,
-                params.n_probe,
-                None,
-                transport,
-                expect_origin=pair.periphery,
-                receive_window_ms=params.receive_window_ms,
-            )
-            pacer.mark(pair.periphery)
+            mt = MeasureTarget.from_pair(pair)
+            sample = pacer.measure(mt, params.n_probe, None, params.receive_window_ms)
             scored.append((pair, float(sample.rcv)))
         chosen = select_rvp(scored, params.n_probe)
         if chosen is None:
@@ -344,12 +335,7 @@ def cmd_isav(args: argparse.Namespace) -> int:
 
     if args.supplemental:
         hitlist_path = _input_path(config, args, "hitlist", required=False)
-        hitlist: dict = {}
-        if hitlist_path is not None:
-            for record in fileio.read_jsonl(hitlist_path):
-                hitlist.setdefault(fileio.parse_prefix(record["prefix"]), []).append(
-                    parse_address(record["address"])
-                )
+        hitlist = fileio.read_hitlist(hitlist_path) if hitlist_path is not None else {}
         uncertain = {
             prefix: prefix_rvps.get(prefix)
             for prefix, (_t, v) in results.items()
@@ -366,30 +352,17 @@ def cmd_isav(args: argparse.Namespace) -> int:
             )
             results.update(updates)
 
+    for prefix in no_rvp:
+        results[prefix] = (RcvTriple(), IsavVerdict(IsavCategory.UNCERTAIN, "no_rvp", None, None))
     for prefix, (triple, verdict) in results.items():
         fileio.append_jsonl(verdict_path, _isav_verdict_record(prefix, triple, verdict))
         fileio.append_jsonl(manifest_path, {"unit": str(prefix)})
-    for prefix in no_rvp:
-        fileio.append_jsonl(
-            verdict_path,
-            {
-                "prefix": str(prefix),
-                "avg1": 0.0,
-                "avg2": 0.0,
-                "avg3": 0.0,
-                "verdict": IsavCategory.UNCERTAIN.value,
-                "rule": "no_rvp",
-                "ratio_3_to_1": None,
-                "ratio_2_to_3": None,
-                "k": 0,
-                "mode_consistency": 0.0,
-            },
-        )
-        fileio.append_jsonl(manifest_path, {"unit": str(prefix)})
 
-    categories = {prefix: v.category for prefix, (_t, v) in results.items()}
-    for prefix in no_rvp:
-        categories[prefix] = IsavCategory.UNCERTAIN
+    # Summaries cover every recorded prefix, including those a resumed run skipped.
+    categories = {
+        parse_prefix(record["prefix"]): IsavCategory(record["verdict"])
+        for record in _load_records(verdict_path)
+    }
     counts = {c: sum(1 for v in categories.values() if v is c) for c in IsavCategory}
     decided = counts[IsavCategory.VULNERABLE] + counts[IsavCategory.DEPLOYED]
     rows = []
@@ -456,7 +429,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
 
     verdict_path = out / "reach_verdicts.jsonl"
     manifest_path = out / "reach_manifest.jsonl"
-    done_units = _manifest_load(manifest_path) if args.resume else set()
+    done_units = {r["unit"] for r in _load_records(manifest_path)} if args.resume else set()
     if not args.resume:
         verdict_path.unlink(missing_ok=True)
         manifest_path.unlink(missing_ok=True)
@@ -489,7 +462,13 @@ def cmd_reach(args: argparse.Namespace) -> int:
         )
         fileio.append_jsonl(manifest_path, {"unit": str(target)})
 
-    verdicts = result.verdicts()
+    # Counts and scores cover every recorded target, including those a resumed run skipped.
+    verdicts = {
+        parse_address(r["target"]): ReachVerdict(
+            ReachCategory(r["verdict"]), r["ratio"], r["avg1"], r["avg2"], r["k"]
+        )
+        for r in _load_records(verdict_path)
+    }
     counts: dict[str, int] = {}
     for v in verdicts.values():
         counts[v.category.value] = counts.get(v.category.value, 0) + 1
@@ -531,41 +510,11 @@ def cmd_rl_classify(args: argparse.Namespace) -> int:
     params = _build_params(config, args, "rl_classify", {"repeats": 1})
     seed = int(_setting(config, args, "seed", 0) or 0)
     pairs = fileio.read_pairs(_input_path(config, args, "pairs", required=True))
-    flat = [(prefix, pair) for prefix, plist in pairs.items() for pair in plist]
-
-    rng = random.Random(seed)
-    pacer = BurstPacer(transport)
-    sums1: dict[int, float] = {}
-    sums2: dict[int, float] = {}
-    for _round in range(params.repeats):
-        for phase in (1, 2):
-            for i, (_prefix, pair) in enumerate(flat):
-                noise = None
-                if phase == 2:
-                    local_spoof, _ = spoof_sources(
-                        transport.source_address, pair.periphery, rng
-                    )
-                    noise = NoiseSpec(params.m_noise, local_spoof)
-                pacer.pace(pair.periphery)
-                sample = measure_rcv(
-                    pair.target,
-                    pair.error_kind,
-                    params.n_probe,
-                    noise,
-                    transport,
-                    expect_origin=pair.periphery,
-                    receive_window_ms=params.receive_window_ms,
-                )
-                pacer.mark(pair.periphery)
-                bucket = sums1 if phase == 1 else sums2
-                bucket[i] = bucket.get(i, 0.0) + sample.rcv
+    flat = [pair for plist in pairs.values() for pair in plist]
 
     records = []
     class_counts: dict[str, dict[str, int]] = {}
-    for i, (_prefix, pair) in enumerate(flat):
-        avg1 = sums1.get(i, 0.0) / params.repeats
-        avg2 = sums2.get(i, 0.0) / params.repeats
-        cls = classify(avg1, avg2, params.n_probe, params.lam)
+    for pair, (avg1, avg2, cls) in zip(flat, classify_limiters(flat, params, transport, seed=seed)):
         kind = pair.error_kind.value
         records.append(
             {
@@ -604,25 +553,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise CliError(f"results directory not found: {out}")
     found = False
 
-    verdicts = out / "isav_verdicts.jsonl"
-    if verdicts.is_file():
-        found = True
-        counts: dict[str, int] = {}
-        for record in fileio.read_jsonl(verdicts):
-            counts[record["verdict"]] = counts.get(record["verdict"], 0) + 1
-        print("ISAV verdicts:")
-        for name, count in sorted(counts.items()):
-            print(f"  {name}: {count}")
-
-    reach = out / "reach_verdicts.jsonl"
-    if reach.is_file():
-        found = True
-        counts = {}
-        for record in fileio.read_jsonl(reach):
-            counts[record["verdict"]] = counts.get(record["verdict"], 0) + 1
-        print("Reachability verdicts:")
-        for name, count in sorted(counts.items()):
-            print(f"  {name}: {count}")
+    for name, title in (("isav_verdicts.jsonl", "ISAV"), ("reach_verdicts.jsonl", "Reachability")):
+        path = out / name
+        if path.is_file():
+            found = True
+            counts: dict[str, int] = {}
+            for record in fileio.read_jsonl(path):
+                counts[record["verdict"]] = counts.get(record["verdict"], 0) + 1
+            print(f"{title} verdicts:")
+            for verdict, count in sorted(counts.items()):
+                print(f"  {verdict}: {count}")
 
     for table in ("reach_eval.tsv", "rl_summary.tsv", "isav_as_summary.tsv",
                   "isav_prefix_summary.tsv", "discovery_summary.tsv"):

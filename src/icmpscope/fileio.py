@@ -9,11 +9,12 @@ from __future__ import annotations
 import json
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from icmpscope.model import DataPair, IcmpKind, IcmpObservation, parse_address, parse_prefix
-from icmpscope.ratelimit import RatioSweepRow
+from icmpscope.model import DataPair, IcmpKind, parse_address, parse_prefix
 from icmpscope.reach import CoordinateMap
+
+T = TypeVar("T")
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -27,12 +28,30 @@ def append_jsonl(path: str | Path, record: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def _parse_lines(
+    path: str | Path, parse: Callable[[str], T], comment: str | None = None
+) -> Iterator[T]:
+    """Yield ``parse(line)`` for every line that is not blank once stripped
+    (and cut at ``comment``, when given).
+
+    A line that does not parse raises ``ValueError("<path>:<line>: ...")``.
+    """
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for lineno, raw in enumerate(fh, 1):
+            line = (raw.split(comment, 1)[0] if comment else raw).strip()
+            if not line:
+                continue
+            try:
+                value = parse(line)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield value
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    yield from _parse_lines(path, json.loads)
 
 
 def write_tsv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -47,12 +66,7 @@ def write_tsv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> 
 
 def read_prefix_list(path: str | Path) -> list[IPv6Network]:
     """One CIDR per line; '#' starts a comment."""
-    prefixes = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            prefixes.append(parse_prefix(line))
-    return prefixes
+    return list(_parse_lines(path, parse_prefix, "#"))
 
 
 def write_prefix_list(path: str | Path, prefixes: Iterable[IPv6Network]) -> None:
@@ -60,28 +74,21 @@ def write_prefix_list(path: str | Path, prefixes: Iterable[IPv6Network]) -> None
 
 
 def read_address_list(path: str | Path) -> list[IPv6Address]:
-    addresses = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            addresses.append(parse_address(line))
-    return addresses
+    return list(_parse_lines(path, parse_address, "#"))
 
 
 def write_address_list(path: str | Path, addresses: Iterable[IPv6Address]) -> None:
     Path(path).write_text("".join(f"{a}\n" for a in addresses))
 
 
+def _as_map_entry(line: str) -> tuple[IPv6Network, int]:
+    prefix_text, asn_text = line.split()
+    return parse_prefix(prefix_text), int(asn_text)
+
+
 def read_as_map(path: str | Path) -> dict[IPv6Network, int]:
     """Two columns per line: prefix and AS number."""
-    mapping: dict[IPv6Network, int] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        prefix_text, asn_text = line.split()
-        mapping[parse_prefix(prefix_text)] = int(asn_text)
-    return mapping
+    return dict(_parse_lines(path, _as_map_entry, "#"))
 
 
 def write_as_map(path: str | Path, mapping: Mapping[IPv6Network, int]) -> None:
@@ -108,29 +115,49 @@ def write_pairs(path: str | Path, pairs: Mapping[IPv6Network, list[DataPair]]) -
     )
 
 
+def _pair_entry(line: str) -> tuple[IPv6Network, DataPair]:
+    record = json.loads(line)
+    pair = DataPair(
+        target=parse_address(record["target"]),
+        periphery=parse_address(record["periphery"]),
+        error_kind=IcmpKind(record.get("error_kind", IcmpKind.DEST_UNREACHABLE.value)),
+        discovered_at=int(record.get("t_ms", 0)),
+    )
+    return parse_prefix(record["prefix"]), pair
+
+
 def read_pairs(path: str | Path) -> dict[IPv6Network, list[DataPair]]:
     out: dict[IPv6Network, list[DataPair]] = {}
-    for record in read_jsonl(path):
-        pair = DataPair(
-            target=parse_address(record["target"]),
-            periphery=parse_address(record["periphery"]),
-            error_kind=IcmpKind(record.get("error_kind", IcmpKind.DEST_UNREACHABLE.value)),
-            discovered_at=int(record.get("t_ms", 0)),
-        )
-        out.setdefault(parse_prefix(record["prefix"]), []).append(pair)
+    for prefix, pair in _parse_lines(path, _pair_entry):
+        out.setdefault(prefix, []).append(pair)
+    return out
+
+
+def _hitlist_entry(line: str) -> tuple[IPv6Network, IPv6Address]:
+    record = json.loads(line)
+    return parse_prefix(record["prefix"]), parse_address(record["address"])
+
+
+def read_hitlist(path: str | Path) -> dict[IPv6Network, list[IPv6Address]]:
+    """Extra responder addresses per prefix: ``{prefix, address}`` per line."""
+    out: dict[IPv6Network, list[IPv6Address]] = {}
+    for prefix, address in _parse_lines(path, _hitlist_entry):
+        out.setdefault(prefix, []).append(address)
     return out
 
 
 # -- coordinates ----------------------------------------------------------
 
 
+def _coord_entry(line: str) -> tuple[IPv6Network, float, float]:
+    record = json.loads(line)
+    key = record["address_or_prefix"]
+    net = parse_prefix(key) if "/" in key else IPv6Network((int(parse_address(key)), 128))
+    return net, float(record["lat"]), float(record["lon"])
+
+
 def read_coords(path: str | Path) -> CoordinateMap:
-    entries = []
-    for record in read_jsonl(path):
-        key = record["address_or_prefix"]
-        net = parse_prefix(key) if "/" in key else IPv6Network((int(parse_address(key)), 128))
-        entries.append((net, float(record["lat"]), float(record["lon"])))
-    return CoordinateMap(entries)
+    return CoordinateMap(list(_parse_lines(path, _coord_entry)))
 
 
 def write_coords(path: str | Path, entries: Iterable[tuple[IPv6Network, float, float]]) -> None:
@@ -147,45 +174,6 @@ def write_coords(path: str | Path, entries: Iterable[tuple[IPv6Network, float, f
     )
 
 
-# -- event traces and sweep tables ------------------------------------------
-
-
-def write_observations(path: str | Path, observations: Iterable[IcmpObservation]) -> None:
-    """Export an observation stream as line-delimited records."""
-    write_jsonl(
-        path,
-        (
-            {
-                "t_ms": o.received_at,
-                "kind": o.kind.value,
-                "origin": str(o.origin),
-                "quoted_dst": str(o.quoted_dst) if o.quoted_dst is not None else None,
-            }
-            for o in observations
-        ),
-    )
-
-
-def write_sufficiency_table(
-    path: str | Path, table: Mapping[tuple[int, float], float]
-) -> None:
-    """Budget-versus-threshold grid of unobservable-target fractions."""
-    rows = sorted(table.items())
-    write_tsv(
-        path,
-        ["total_packets", "decline_threshold", "insufficient_fraction"],
-        ((total, threshold, f"{fraction:.4f}") for (total, threshold), fraction in rows),
-    )
-
-
-def write_ratio_table(path: str | Path, rows: Iterable[RatioSweepRow]) -> None:
-    write_tsv(
-        path,
-        ["mn_ratio", "m_noise", "n_probe", "mean_observability"],
-        ((r.mn_ratio, r.m_noise, r.n_probe, f"{r.mean_observability:.4f}") for r in rows),
-    )
-
-
 # -- ground truth ----------------------------------------------------------
 
 
@@ -195,10 +183,13 @@ def write_isav_truth(path: str | Path, truth: Mapping[IPv6Network, bool]) -> Non
     )
 
 
+def _reach_truth_entry(line: str) -> tuple[IPv6Address, bool]:
+    record = json.loads(line)
+    return parse_address(record["target"]), bool(record["unconnected"])
+
+
 def read_reach_truth(path: str | Path) -> dict[IPv6Address, bool]:
-    return {
-        parse_address(r["target"]): bool(r["unconnected"]) for r in read_jsonl(path)
-    }
+    return dict(_parse_lines(path, _reach_truth_entry))
 
 
 def write_reach_truth(path: str | Path, truth: Mapping[IPv6Address, bool]) -> None:

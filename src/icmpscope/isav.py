@@ -18,11 +18,11 @@ from typing import Mapping, Sequence
 
 from icmpscope.model import DataPair, IcmpKind, MeasurementParams, spoof_sources
 from icmpscope.ratelimit import (
-    DEFAULT_BURST_GAP_MS,
     BurstPacer,
+    MeasureTarget,
     NoiseSpec,
     RcvSample,
-    measure_rcv,
+    run_phased,
 )
 
 SUPPLEMENTAL_PACKETS = 500  # probe and noise count for the echo-reply mode
@@ -125,8 +125,38 @@ def select_rvp(
 @dataclass
 class IsavCampaignResult:
     results: dict[IPv6Network, tuple[RcvTriple, IsavVerdict]]
-    # One entry per burst: (start time, prefix, phase 1|2|3, vantage address).
-    schedule: list[tuple[int, IPv6Network, int, IPv6Address]]
+
+
+def _measure_triples(
+    targets: Mapping[IPv6Network, MeasureTarget],
+    params: MeasurementParams,
+    pacer: BurstPacer,
+    local_vp: IPv6Address,
+    seed: int,
+) -> dict[IPv6Network, tuple[RcvTriple, IsavVerdict]]:
+    """Measure every prefix's rcv triple at its vantage point and infer its verdict.
+
+    Phase 1 sends probes alone, phase 2 adds noise spoofed from the prober's
+    /80, and phase 3 adds noise spoofed from the vantage point's /124.
+    """
+    rng = random.Random(seed)
+    spoofs = {prefix: spoof_sources(local_vp, mt.origin, rng) for prefix, mt in targets.items()}
+
+    def burst_for(prefix: IPv6Network, phase: int) -> tuple[MeasureTarget, int, NoiseSpec | None]:
+        noise = None if phase == 1 else NoiseSpec(params.m_noise, spoofs[prefix][phase - 2])
+        return targets[prefix], params.n_probe, noise
+
+    triples = {prefix: RcvTriple() for prefix in targets}
+    bursts = run_phased(
+        targets, (1, 2, 3), params.repeats, burst_for, pacer, params.receive_window_ms
+    )
+    for prefix, phase, sample in bursts:
+        triple = triples[prefix]
+        (triple.samples1, triple.samples2, triple.samples3)[phase - 1].append(sample)
+    return {
+        prefix: (triple, infer_isav(triple.avg1, triple.avg2, triple.avg3, params.lam))
+        for prefix, triple in triples.items()
+    }
 
 
 def run_isav_campaign(
@@ -136,57 +166,18 @@ def run_isav_campaign(
     local_vp: IPv6Address,
     *,
     seed: int = 0,
-    burst_gap_ms: int = DEFAULT_BURST_GAP_MS,
-    spacing_ms: int = 1,
 ) -> IsavCampaignResult:
-    """Measure every prefix's rcv triple and infer its verdict.
+    """Measure every prefix's rcv triple through its data pair's error
+    messages and infer its verdict.
 
     Scheduling is phase-ordered: every prefix's rcv1 for round i, then every
     rcv2, then every rcv3, for k rounds, so the same vantage point is never
     hit twice in a row while other prefixes still have work pending, and a
     minimum quiet gap is kept per vantage point regardless.
     """
-    rng = random.Random(seed)
-    spoofs: dict[IPv6Network, tuple[IPv6Address, IPv6Address]] = {
-        prefix: spoof_sources(local_vp, pair.periphery, rng)
-        for prefix, pair in prefix_rvps.items()
-    }
-    triples = {prefix: RcvTriple() for prefix in prefix_rvps}
-    schedule: list[tuple[int, IPv6Network, int, IPv6Address]] = []
-    pacer = BurstPacer(transport, burst_gap_ms)
-
-    for _round in range(params.repeats):
-        for phase in (1, 2, 3):
-            for prefix, pair in prefix_rvps.items():
-                local_spoof, target_spoof = spoofs[prefix]
-                if phase == 1:
-                    noise = None
-                elif phase == 2:
-                    noise = NoiseSpec(params.m_noise, local_spoof)
-                else:
-                    noise = NoiseSpec(params.m_noise, target_spoof)
-                pacer.pace(pair.periphery)
-                t0 = transport.now()
-                sample = measure_rcv(
-                    pair.target,
-                    pair.error_kind,
-                    params.n_probe,
-                    noise,
-                    transport,
-                    expect_origin=pair.periphery,
-                    receive_window_ms=params.receive_window_ms,
-                    spacing_ms=spacing_ms,
-                )
-                pacer.mark(pair.periphery)
-                schedule.append((t0, prefix, phase, pair.periphery))
-                triple = triples[prefix]
-                (triple.samples1, triple.samples2, triple.samples3)[phase - 1].append(sample)
-
-    results = {
-        prefix: (triple, infer_isav(triple.avg1, triple.avg2, triple.avg3, params.lam))
-        for prefix, triple in triples.items()
-    }
-    return IsavCampaignResult(results=results, schedule=schedule)
+    targets = {prefix: MeasureTarget.from_pair(pair) for prefix, pair in prefix_rvps.items()}
+    pacer = BurstPacer(transport)
+    return IsavCampaignResult(_measure_triples(targets, params, pacer, local_vp, seed))
 
 
 def run_supplemental_echo(
@@ -197,7 +188,6 @@ def run_supplemental_echo(
     local_vp: IPv6Address,
     *,
     seed: int = 0,
-    burst_gap_ms: int = DEFAULT_BURST_GAP_MS,
 ) -> dict[IPv6Network, tuple[RcvTriple, IsavVerdict]]:
     """Re-measure undecided prefixes through echo-reply rate limiting.
 
@@ -206,63 +196,21 @@ def run_supplemental_echo(
     echo-reply limiting needs before it becomes observable. Prefixes whose
     responders show no limiting simply stay uncertain.
     """
-    echo_params = replace(params, n_probe=SUPPLEMENTAL_PACKETS, m_noise=SUPPLEMENTAL_PACKETS)
-    rng = random.Random(seed)
-    pacer = BurstPacer(transport, burst_gap_ms)
-
-    responders: dict[IPv6Network, IPv6Address] = {}
-    spoofs: dict[IPv6Network, tuple[IPv6Address, IPv6Address]] = {}
+    pacer = BurstPacer(transport)
+    responders: dict[IPv6Network, MeasureTarget] = {}
     for prefix, pair in uncertain_rvps.items():
         candidates: list[IPv6Address] = []
         if pair is not None:
             candidates.append(pair.periphery)
         candidates.extend(extra_targets.get(prefix, ()))
         for candidate in candidates:
-            pacer.pace(candidate)
-            probe = measure_rcv(
-                candidate,
-                IcmpKind.ECHO_REPLY,
-                1,
-                None,
-                transport,
-                expect_origin=candidate,
-                receive_window_ms=params.receive_window_ms,
-            )
-            pacer.mark(candidate)
-            if probe.rcv > 0:
-                responders[prefix] = candidate
-                spoofs[prefix] = spoof_sources(local_vp, candidate, rng)
+            echo = MeasureTarget(target=candidate, origin=candidate, kind=IcmpKind.ECHO_REPLY)
+            if pacer.measure(echo, 1, None, params.receive_window_ms).rcv > 0:
+                responders[prefix] = echo
                 break
 
-    triples = {prefix: RcvTriple() for prefix in responders}
-    for _round in range(echo_params.repeats):
-        for phase in (1, 2, 3):
-            for prefix, responder in responders.items():
-                local_spoof, target_spoof = spoofs[prefix]
-                if phase == 1:
-                    noise = None
-                elif phase == 2:
-                    noise = NoiseSpec(echo_params.m_noise, local_spoof)
-                else:
-                    noise = NoiseSpec(echo_params.m_noise, target_spoof)
-                pacer.pace(responder)
-                sample = measure_rcv(
-                    responder,
-                    IcmpKind.ECHO_REPLY,
-                    echo_params.n_probe,
-                    noise,
-                    transport,
-                    expect_origin=responder,
-                    receive_window_ms=echo_params.receive_window_ms,
-                )
-                pacer.mark(responder)
-                triple = triples[prefix]
-                (triple.samples1, triple.samples2, triple.samples3)[phase - 1].append(sample)
-
-    return {
-        prefix: (triple, infer_isav(triple.avg1, triple.avg2, triple.avg3, echo_params.lam))
-        for prefix, triple in triples.items()
-    }
+    echo_params = replace(params, n_probe=SUPPLEMENTAL_PACKETS, m_noise=SUPPLEMENTAL_PACKETS)
+    return _measure_triples(responders, echo_params, pacer, local_vp, seed)
 
 
 class AsCategory(Enum):

@@ -49,10 +49,6 @@ def parse_prefix(text: str) -> IPv6Network:
     return IPv6Network(text.strip(), strict=True)
 
 
-def prefix_contains(prefix: IPv6Network, addr: IPv6Address) -> bool:
-    return addr in prefix
-
-
 @dataclass(frozen=True, slots=True)
 class DataPair:
     """A <target, periphery> pair: probing the unreachable target elicits

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from ipaddress import IPv6Address
-from typing import Sequence
+from typing import Callable, Collection, Iterator, Sequence, TypeVar
 
-from icmpscope.model import DataPair, IcmpKind, ProbePacket
+from icmpscope.model import DataPair, IcmpKind, MeasurementParams, ProbePacket, spoof_sources
 from icmpscope.simnet.config import RateLimitClass
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan
 
 DEFAULT_SPACING_MS = 1
 DEFAULT_BURST_GAP_MS = 2000
+RECEIVE_WINDOW_MS = 1000
+
+Unit = TypeVar("Unit")
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +62,52 @@ class BurstPacer:
     def mark(self, key: IPv6Address) -> None:
         self._last_end[key] = self._transport.now()
 
+    def measure(
+        self, mt: MeasureTarget, n: int, noise: NoiseSpec | None, receive_window_ms: int
+    ) -> RcvSample:
+        """One burst toward ``mt``, sent once the node's quiet gap has passed.
+
+        The node is the expected reply origin, or the target itself when no
+        origin is expected; the gap restarts when the burst's window closes.
+        """
+        key = mt.origin if mt.origin is not None else mt.target
+        self.pace(key)
+        sample = measure_rcv(
+            mt.target,
+            mt.kind,
+            n,
+            noise,
+            self._transport,
+            expect_origin=mt.origin,
+            receive_window_ms=receive_window_ms,
+        )
+        self.mark(key)
+        return sample
+
+
+def run_phased(
+    units: Collection[Unit],
+    phases: Sequence[int],
+    repeats: int,
+    burst_for: Callable[[Unit, int], tuple[MeasureTarget, int, NoiseSpec | None]],
+    pacer: BurstPacer,
+    receive_window_ms: int,
+) -> Iterator[tuple[Unit, int, RcvSample]]:
+    """Send every unit's burst for each phase, phase by phase, ``repeats`` times.
+
+    Yields ``(unit, phase, sample)`` in send order. Ordering by phase means no
+    node is hit twice in a row while other units still have work pending,
+    and the pacer keeps a quiet gap per node regardless. ``burst_for(unit,
+    phase)`` returns the burst's target, probe count and noise; it is called
+    just before that burst is sent, so any random draws it makes follow the
+    send order.
+    """
+    for _round in range(repeats):
+        for phase in phases:
+            for unit in units:
+                mt, n, noise = burst_for(unit, phase)
+                yield unit, phase, pacer.measure(mt, n, noise, receive_window_ms)
+
 
 def interleave_pattern(n_probe: int, m_noise: int) -> list[bool]:
     """Slot layout of a burst: True marks a probe packet.
@@ -90,7 +140,7 @@ def measure_rcv(
     transport,
     *,
     expect_origin: IPv6Address | None = None,
-    receive_window_ms: int = 1000,
+    receive_window_ms: int = RECEIVE_WINDOW_MS,
     spacing_ms: int = DEFAULT_SPACING_MS,
 ) -> RcvSample:
     """One burst toward ``rvp_target``; returns the matched reply count.
@@ -173,30 +223,28 @@ class MeasureTarget:
         return cls(target=pair.target, origin=pair.periphery, kind=pair.error_kind)
 
 
-def _measure_phase(
-    targets: Sequence[MeasureTarget],
-    n: int,
-    noise_builder,
-    transport,
-    pacer: BurstPacer,
-    receive_window_ms: int,
-) -> list[RcvSample]:
-    samples = []
-    for mt in targets:
-        key = mt.origin if mt.origin is not None else mt.target
-        pacer.pace(key)
-        sample = measure_rcv(
-            mt.target,
-            mt.kind,
-            n,
-            noise_builder(mt),
-            transport,
-            expect_origin=mt.origin,
-            receive_window_ms=receive_window_ms,
-        )
-        pacer.mark(key)
-        samples.append(sample)
-    return samples
+def _noise_declines(
+    targets: Sequence[MeasureTarget], m: int, n: int, transport, pacer: BurstPacer
+) -> list[float | None]:
+    """Reply decline that m noise packets cause at each target probed with n.
+
+    Every target is measured without noise, then every target with noise
+    spoofed from the prober's own address. None marks a target that never
+    replied without noise.
+    """
+    noise = NoiseSpec(m, transport.source_address)
+
+    def burst_for(i: int, phase: int) -> tuple[MeasureTarget, int, NoiseSpec | None]:
+        return targets[i], n, None if phase == 1 else noise
+
+    rcv: dict[tuple[int, int], int] = {}
+    bursts = run_phased(range(len(targets)), (1, 2), 1, burst_for, pacer, RECEIVE_WINDOW_MS)
+    for i, phase, sample in bursts:
+        rcv[i, phase] = sample.rcv
+    return [
+        observability(rcv[i, 1], rcv[i, 2]) if rcv[i, 1] > 0 else None
+        for i in range(len(targets))
+    ]
 
 
 def sufficiency_sweep(
@@ -206,9 +254,6 @@ def sufficiency_sweep(
     transport,
     *,
     mn_ratio: float = 2.0,
-    noise_src_for=None,
-    receive_window_ms: int = 1000,
-    burst_gap_ms: int = DEFAULT_BURST_GAP_MS,
 ) -> dict[tuple[int, float], float]:
     """Fraction of targets whose rate limiting stays unobservable per budget.
 
@@ -218,24 +263,11 @@ def sufficiency_sweep(
     """
     if not totals:
         raise ValueError("totals must be non-empty")
-    noise_src_for = noise_src_for or (lambda mt: transport.source_address)
-    pacer = BurstPacer(transport, burst_gap_ms)
+    pacer = BurstPacer(transport)
     declines: dict[int, list[float | None]] = {}
     for total in totals:
         m, n = split_counts(total, mn_ratio)
-        before = _measure_phase(targets, n, lambda mt: None, transport, pacer, receive_window_ms)
-        after = _measure_phase(
-            targets,
-            n,
-            lambda mt: NoiseSpec(m, noise_src_for(mt)),
-            transport,
-            pacer,
-            receive_window_ms,
-        )
-        declines[total] = [
-            observability(b.rcv, a.rcv) if b.rcv > 0 else None
-            for b, a in zip(before, after)
-        ]
+        declines[total] = _noise_declines(targets, m, n, transport, pacer)
 
     table: dict[tuple[int, float], float] = {}
     for total in totals:
@@ -258,28 +290,47 @@ def ratio_sweep(
     total: int,
     ratios: Sequence[float],
     transport,
-    *,
-    noise_src_for=None,
-    receive_window_ms: int = 1000,
-    burst_gap_ms: int = DEFAULT_BURST_GAP_MS,
 ) -> list[RatioSweepRow]:
     """Mean observability over targets for each noise/probe split of a fixed
     packet budget."""
-    noise_src_for = noise_src_for or (lambda mt: transport.source_address)
-    pacer = BurstPacer(transport, burst_gap_ms)
+    pacer = BurstPacer(transport)
     rows = []
     for ratio in ratios:
         m, n = split_counts(total, ratio)
-        before = _measure_phase(targets, n, lambda mt: None, transport, pacer, receive_window_ms)
-        after = _measure_phase(
-            targets,
-            n,
-            lambda mt: NoiseSpec(m, noise_src_for(mt)),
-            transport,
-            pacer,
-            receive_window_ms,
-        )
-        values = [observability(b.rcv, a.rcv) for b, a in zip(before, after) if b.rcv > 0]
+        values = [d for d in _noise_declines(targets, m, n, transport, pacer) if d is not None]
         mean = sum(values) / len(values) if values else 0.0
         rows.append(RatioSweepRow(mn_ratio=ratio, m_noise=m, n_probe=n, mean_observability=mean))
     return rows
+
+
+def classify_limiters(
+    pairs: Sequence[DataPair], params: MeasurementParams, transport, *, seed: int = 0
+) -> list[tuple[float, float, RateLimitClass]]:
+    """Classify the rate limiter behind each pair's periphery.
+
+    Each round measures every pair without noise (rcv1), then every pair with
+    noise spoofed from the prober's /80 (rcv2). Returns ``(rcv1_avg,
+    rcv2_avg, class)`` per pair, in the order given.
+    """
+    rng = random.Random(seed)
+
+    def burst_for(i: int, phase: int) -> tuple[MeasureTarget, int, NoiseSpec | None]:
+        pair = pairs[i]
+        noise = None
+        if phase == 2:
+            local_spoof, _ = spoof_sources(transport.source_address, pair.periphery, rng)
+            noise = NoiseSpec(params.m_noise, local_spoof)
+        return MeasureTarget.from_pair(pair), params.n_probe, noise
+
+    sums = {1: [0.0] * len(pairs), 2: [0.0] * len(pairs)}
+    pacer = BurstPacer(transport)
+    bursts = run_phased(
+        range(len(pairs)), (1, 2), params.repeats, burst_for, pacer, params.receive_window_ms
+    )
+    for i, phase, sample in bursts:
+        sums[phase][i] += sample.rcv
+    out = []
+    for sum1, sum2 in zip(sums[1], sums[2]):
+        avg1, avg2 = sum1 / params.repeats, sum2 / params.repeats
+        out.append((avg1, avg2, classify(avg1, avg2, params.n_probe, params.lam)))
+    return out

@@ -248,45 +248,6 @@ class SimWorld:
         return out
 
 
-def router_handle(
-    router,
-    pkt: ProbePacket,
-    now: int,
-    *,
-    bank: LimiterBank | None = None,
-    live_hosts: frozenset = frozenset(),
-    silent_hosts: frozenset = frozenset(),
-    from_outside: bool = True,
-) -> IcmpObservation | None:
-    """Reference handler for one echo request delivered to one router.
-
-    Returns the ICMP message the router site emits toward ``pkt.src`` (as the
-    sender would observe it), or None when ingress filtering, a silent host,
-    or the rate limiter swallows it. Pass a persistent ``bank`` to carry
-    limiter state across packets; without one every call sees a fresh budget.
-    The full event loop reproduces these semantics packet for packet.
-    """
-    if pkt.kind is not IcmpKind.ECHO_REQUEST:
-        raise ValueError("router_handle models delivered echo requests")
-    if bank is None:
-        bank = LimiterBank(router.limiter)
-    src = int(pkt.src)
-    if router.isav_ingress and from_outside and pkt.src in router.served_prefix:
-        return None
-    if pkt.dst == router.address:
-        if router.echo_responder and bank.try_emit(IcmpKind.ECHO_REPLY, src, now):
-            return IcmpObservation(IcmpKind.ECHO_REPLY, router.address, None, now, pkt.probe_id)
-        return None
-    if pkt.dst in live_hosts:
-        return IcmpObservation(IcmpKind.ECHO_REPLY, pkt.dst, None, now, pkt.probe_id)
-    if pkt.dst in silent_hosts:
-        return None
-    if pkt.dst in router.served_prefix:
-        if bank.try_emit(router.error_kind, src, now):
-            return IcmpObservation(router.error_kind, router.address, pkt.dst, now, pkt.probe_id)
-    return None
-
-
 def run_events(cfg: SimConfig, injected: list[tuple[int, ProbePacket]]) -> list[IcmpObservation]:
     """One-shot simulation: inject the timed packets, run to quiescence, and
     return every ICMP message the prober observed, in arrival order.

@@ -62,15 +62,26 @@ def test_isav_command_and_truth_agreement(tmp_path):
     assert (out / "isav_as_summary.tsv").is_file()
 
 
+def read_tables(out, names):
+    return {name: (out / name).read_bytes() for name in names}
+
+
+ISAV_TABLES = ("isav_prefix_summary.tsv", "isav_as_summary.tsv")
+REACH_TABLES = ("reach_eval.tsv", "reach_roc.tsv")
+
+
 def test_isav_resume_skips_completed_prefixes(tmp_path):
     out = simulate_demo(tmp_path)
     config = str(out / "campaign.json")
     assert run_cli("isav", "--config", config, "--repeats", "2") == 0
     first = (out / "isav_verdicts.jsonl").read_text()
     n_records = len(first.splitlines())
-    # Rerunning with --resume finds everything in the manifest and adds nothing.
+    tables = read_tables(out, ISAV_TABLES)
+    # Rerunning with --resume finds everything in the manifest and adds nothing;
+    # the summaries still cover every recorded prefix.
     assert run_cli("isav", "--config", config, "--repeats", "2", "--resume") == 0
     assert len((out / "isav_verdicts.jsonl").read_text().splitlines()) == n_records
+    assert read_tables(out, ISAV_TABLES) == tables
 
     # Partial manifest: only the first unit is recorded as done.
     lines = (out / "isav_manifest.jsonl").read_text().splitlines()
@@ -80,6 +91,18 @@ def test_isav_resume_skips_completed_prefixes(tmp_path):
     resumed = [json.loads(l)["prefix"] for l in (out / "isav_verdicts.jsonl").read_text().splitlines()]
     assert len(resumed) == n_records
     assert len(set(resumed)) == n_records
+    assert read_tables(out, ISAV_TABLES) == tables
+
+
+def test_reach_resume_keeps_the_evaluation_tables(tmp_path):
+    out = simulate_demo(tmp_path)
+    config = str(out / "campaign.json")
+    assert run_cli("reach", "--config", config, "--repeats", "2") == 0
+    n_records = len((out / "reach_verdicts.jsonl").read_text().splitlines())
+    tables = read_tables(out, REACH_TABLES)
+    assert run_cli("reach", "--config", config, "--repeats", "2", "--resume") == 0
+    assert len((out / "reach_verdicts.jsonl").read_text().splitlines()) == n_records
+    assert read_tables(out, REACH_TABLES) == tables
 
 
 def test_reach_command_with_evaluation(tmp_path):
@@ -138,6 +161,19 @@ def test_config_validation_failures(tmp_path):
     # unknown sim config path
     assert run_cli("isav", "--pairs", str(out / "pairs.jsonl"),
                    "--sim-config", str(out / "missing.json"), "--out", str(out)) == 1
+
+
+def test_malformed_input_error_names_file_and_line(tmp_path, capsys):
+    out = simulate_demo(tmp_path)
+    pairs = out / "pairs.jsonl"
+    lines = pairs.read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["target"]
+    lines[1] = json.dumps(record)
+    pairs.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("rl-classify", "--config", str(out / "campaign.json")) == 1
+    assert capsys.readouterr().err == f"error: {pairs}:2: missing field 'target'\n"
 
 
 def test_supplemental_preset_pipeline(tmp_path):

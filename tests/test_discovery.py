@@ -11,7 +11,7 @@ from icmpscope.discovery import (
     generate_targets,
     run_discovery,
 )
-from icmpscope.model import IcmpKind, IcmpObservation, parse_address, parse_prefix, prefix_contains
+from icmpscope.model import IcmpKind, IcmpObservation, parse_address, parse_prefix
 from icmpscope.simnet import scenarios
 from icmpscope.transport import SimTransport, TransportError
 
@@ -60,7 +60,7 @@ def test_generate_targets_subnet_rotation():
     assert int(first) >> 64 == int(parse_address("2000:1234::")) >> 64
     last = generate_targets(prefix, (1 << 24) - 1, seed=9)
     assert int(last) >> 64 == int(parse_address("2000:1234:ff:ffff::")) >> 64
-    assert prefix_contains(prefix, first) and prefix_contains(prefix, last)
+    assert first in prefix and last in prefix
 
 
 def test_generate_targets_deterministic_iid():
@@ -80,7 +80,7 @@ def test_generate_targets_long_prefix_randomizes_host_bits():
     a = generate_targets(prefix, 0, seed=1)
     b = generate_targets(prefix, 1, seed=1)
     assert a != b
-    assert prefix_contains(prefix, a) and prefix_contains(prefix, b)
+    assert a in prefix and b in prefix
 
 
 def test_extract_pair_field_mapping():
@@ -118,7 +118,7 @@ def test_discovery_stop_conditions():
 def test_discovery_pairs_belong_to_their_prefix_and_are_unique():
     bundle, result = run_demo_discovery()
     for prefix, pairs in result.pairs.items():
-        assert all(prefix_contains(prefix, pair.target) for pair in pairs)
+        assert all(pair.target in prefix for pair in pairs)
         keys = [(pair.target, pair.periphery) for pair in pairs]
         assert len(keys) == len(set(keys))
         assert len(pairs) <= 50

@@ -1,8 +1,10 @@
 import json
+import re
+
+import pytest
 
 from icmpscope import fileio
-from icmpscope.model import DataPair, IcmpKind, IcmpObservation, parse_address, parse_prefix
-from icmpscope.ratelimit import RatioSweepRow
+from icmpscope.model import DataPair, IcmpKind, parse_address, parse_prefix
 
 
 def test_pairs_round_trip(tmp_path):
@@ -51,38 +53,37 @@ def test_coords_round_trip(tmp_path):
     assert geo.lookup(parse_address("2001:db8:ffff::1")) == (0.0, 0.0)
 
 
-def test_observation_trace_schema(tmp_path):
-    observations = [
-        IcmpObservation(IcmpKind.DEST_UNREACHABLE, parse_address("2001:db8:1::1"),
-                        parse_address("2001:db8:1::dead"), 12, 7),
-        IcmpObservation(IcmpKind.ECHO_REPLY, parse_address("2001:db8:1::b"), None, 20, 8),
-    ]
-    path = tmp_path / "trace.jsonl"
-    fileio.write_observations(path, observations)
-    records = list(fileio.read_jsonl(path))
-    assert records[0] == {
-        "t_ms": 12,
-        "kind": "destination_unreachable",
-        "origin": "2001:db8:1::1",
-        "quoted_dst": "2001:db8:1::dead",
-    }
-    assert records[1]["quoted_dst"] is None
-
-
-def test_sweep_table_writers(tmp_path):
-    suff = tmp_path / "sufficiency.tsv"
-    fileio.write_sufficiency_table(suff, {(150, 0.2): 0.0, (30, 0.2): 1.0})
-    lines = suff.read_text().splitlines()
-    assert lines[0] == "total_packets\tdecline_threshold\tinsufficient_fraction"
-    assert lines[1].startswith("30\t0.2\t1.0000")
-
-    ratio = tmp_path / "ratio.tsv"
-    fileio.write_ratio_table(ratio, [RatioSweepRow(2.0, 100, 50, 0.4192)])
-    assert ratio.read_text().splitlines()[1] == "2.0\t100\t50\t0.4192"
-
-
 def test_reach_truth_round_trip(tmp_path):
     truth = {parse_address("2001:db8:1::b"): True, parse_address("2001:db8:2::b"): False}
     path = tmp_path / "truth.jsonl"
     fileio.write_reach_truth(path, truth)
     assert fileio.read_reach_truth(path) == truth
+
+
+GOOD_PAIR = '{"prefix": "2001:db8:1::/48", "target": "2001:db8:1::dead", "periphery": "2001:db8:1::1"}'
+
+
+def assert_rejected_at(path, line, detail, read):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: {detail}")):
+        read(path)
+
+
+def test_pair_missing_a_field_names_file_and_line(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(GOOD_PAIR + "\n\n" + '{"prefix": "2001:db8:1::/48", "periphery": "2001:db8:1::1"}\n')
+    assert_rejected_at(path, 3, "missing field 'target'", fileio.read_pairs)
+
+
+def test_bad_json_names_file_and_line(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(GOOD_PAIR + "\nnot json\n")
+    assert_rejected_at(path, 2, "Expecting value", fileio.read_pairs)
+    assert_rejected_at(path, 2, "Expecting value", lambda p: list(fileio.read_jsonl(p)))
+
+
+def test_bad_as_map_row_names_file_and_line(tmp_path):
+    path = tmp_path / "as.txt"
+    path.write_text("# prefix asn\n2001:db8:1::/48 64500\n2001:db8:2::/48\n")
+    assert_rejected_at(path, 3, "not enough values to unpack", fileio.read_as_map)
+    path.write_text("2001:db8:1::/48 AS64500\n")
+    assert_rejected_at(path, 1, "invalid literal for int()", fileio.read_as_map)

@@ -1,3 +1,5 @@
+from ipaddress import IPv6Network
+
 import pytest
 
 from icmpscope.isav import (
@@ -87,18 +89,62 @@ def test_campaign_matches_oracle_zero_loss():
         assert verdict.category is expected
 
 
+class RecordingTransport(SimTransport):
+    """A simulated transport that keeps every plan it executes."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.plans = []
+
+    def execute(self, plan, window):
+        self.plans.append(plan)
+        return super().execute(plan, window)
+
+
+def sent_bursts(n_prefixes, seed, repeats):
+    """Run a campaign and read (vantage point, phase) per burst off the wire.
+
+    The probe destination names the data pair, hence its vantage point. The
+    noise source names the phase: no noise is rcv1, noise from the prober's
+    /80 is rcv2, noise from the vantage point's /124 is rcv3.
+    """
+    bundle = scenarios.build_isav_population(n_prefixes, seed=seed)
+    transport = RecordingTransport(bundle.cfg)
+    rvps = {prefix: plist[0] for prefix, plist in bundle.pairs.items()}
+    run_isav_campaign(rvps, MeasurementParams(repeats=repeats), transport, bundle.local_vp, seed=seed)
+    rvp_of = {pair.target: pair.periphery for pair in rvps.values()}
+    local_net = IPv6Network((bundle.local_vp, 80), strict=False)
+    bursts = []
+    for plan in transport.plans:
+        (dst,) = {pkt.dst for _t, pkt in plan.packets}
+        rvp = rvp_of[dst]
+        noise = {pkt.src for _t, pkt in plan.packets} - {transport.source_address}
+        if not noise:
+            phase = 1
+        else:
+            (src,) = noise
+            assert (src in local_net) != (src in IPv6Network((rvp, 124), strict=False))
+            phase = 2 if src in local_net else 3
+        bursts.append((rvp, phase))
+    return bursts
+
+
 def test_campaign_schedule_never_repeats_an_rvp_back_to_back():
-    _bundle, result = campaign(6, seed=8)
-    rvp_sequence = [rvp for _t, _prefix, _phase, rvp in result.schedule]
+    rvp_sequence = [rvp for rvp, _phase in sent_bursts(6, seed=8, repeats=3)]
+    assert len(rvp_sequence) == 6 * 3 * 3
     for a, b in zip(rvp_sequence, rvp_sequence[1:]):
         assert a != b
 
 
 def test_campaign_phase_ordering():
-    _bundle, result = campaign(4, seed=8, repeats=2)
-    phases = [phase for _t, _prefix, phase, _rvp in result.schedule]
+    bursts = sent_bursts(4, seed=8, repeats=2)
+    phases = [phase for _rvp, phase in bursts]
     # 4 prefixes per phase, phases 1,2,3 per round, 2 rounds.
     assert phases == [1] * 4 + [2] * 4 + [3] * 4 + [1] * 4 + [2] * 4 + [3] * 4
+    # Every phase visits the same vantage points in the same order.
+    order = [rvp for rvp, _phase in bursts[:4]]
+    assert len(set(order)) == 4
+    assert [rvp for rvp, _phase in bursts] == order * 6
 
 
 def test_campaign_verdicts_recompute_from_stored_triples():

@@ -10,7 +10,6 @@ from icmpscope.model import (
     ProbePacket,
     parse_address,
     parse_prefix,
-    prefix_contains,
     spoof_sources,
 )
 
@@ -31,12 +30,6 @@ def format_int(value: int) -> str:
 
 def test_canonical_form_is_lowercase_compressed():
     assert str(parse_address("2001:0DB8:0000:0000:0000:0000:0000:0001")) == "2001:db8::1"
-
-
-def test_prefix_contains_examples():
-    assert prefix_contains(parse_prefix("2000:1234::/40"), parse_address("2000:1234:00ff::1"))
-    assert not prefix_contains(parse_prefix("2000:1234::/40"), parse_address("2000:1235::1"))
-    assert prefix_contains(parse_prefix("::/0"), parse_address("fe80::1"))
 
 
 def test_prefix_rejects_host_bits():

@@ -4,7 +4,7 @@ from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 
-from oracles import replay_token_bucket
+from oracles import replay_token_bucket, router_handle
 
 from icmpscope.model import IcmpKind, ProbePacket, parse_address, parse_prefix
 from icmpscope.simnet import (
@@ -325,8 +325,6 @@ def test_cut_index_matches_linear_oracle_on_nested_cuts():
 
 
 def test_router_handle_isav_drop():
-    from icmpscope.simnet import router_handle
-
     router = star_config(TokenBucket(10, 100), isav=True).routers[0]
     spoofed = ProbePacket(src=parse_address("2001:db8:1::5"), dst=DEAD, probe_id=1)
     assert router_handle(router, spoofed, 0) is None
@@ -337,8 +335,6 @@ def test_router_handle_isav_drop():
 
 
 def test_router_handle_burst_against_fresh_bucket():
-    from icmpscope.simnet import router_handle
-
     router = star_config(TokenBucket(10, 100)).routers[0]
     bank = LimiterBank(router.limiter)
     emitted = [
@@ -349,8 +345,6 @@ def test_router_handle_burst_against_fresh_bucket():
 
 
 def test_router_handle_unlimited_and_hosts():
-    from icmpscope.simnet import router_handle
-
     router = star_config(Unlimited()).routers[0]
     bank = LimiterBank(router.limiter)
     emitted = [
@@ -372,8 +366,6 @@ def test_router_handle_unlimited_and_hosts():
 def test_router_handle_matches_event_loop():
     """The per-packet reference handler and the full event loop agree on what
     a router emits for an echo-request workload."""
-    from icmpscope.simnet import router_handle
-
     cfg = star_config(TokenBucket(4, 120))
     injected = burst(DEAD, 30, spacing=17)
     looped = run_events(cfg, injected)
