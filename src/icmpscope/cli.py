@@ -2,14 +2,15 @@
 
 Subcommands: simulate | discover | isav | reach | rl-classify | report.
 Configuration comes from an optional JSON file plus flag overrides; every
-engine writes line-delimited records, a resume manifest, and a summary table
-into the output directory. Runs on the simulated backend reproduce byte
-for byte under a fixed seed.
+engine writes line-delimited records and a summary table into the output
+directory; ``--resume`` skips the units already in the verdict file. Runs on
+the simulated backend reproduce byte for byte under a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from ipaddress import IPv6Network
@@ -27,7 +28,8 @@ from icmpscope.isav import (
     select_rvp,
 )
 from icmpscope.model import MeasurementParams, parse_address, parse_prefix
-from icmpscope.ratelimit import BurstPacer, MeasureTarget, classify_limiters
+from icmpscope.ratelimit import MeasureTarget, classify_limiters, pacer_for
+from icmpscope.reach import DEFAULT_BASELINE_REFRESH, DEFAULT_ROTATION_GAP_MS
 from icmpscope.reach import ReachCategory, ReachVerdict, evaluate, run_reach_campaign
 from icmpscope.simnet.config import SimConfig, oracle_rl_class
 from icmpscope.simnet import scenarios
@@ -301,19 +303,19 @@ def cmd_isav(args: argparse.Namespace) -> int:
     transport = _make_transport(config, args)
     params = _build_params(config, args, "isav", {})
     seed = int(_setting(config, args, "seed", 0) or 0)
-    pairs = fileio.read_pairs(_input_path(config, args, "pairs", required=True))
+    # The supplemental pass can start from the hitlist alone.
+    pairs_path = _input_path(config, args, "pairs", required=not args.supplemental)
+    pairs = fileio.read_pairs(pairs_path) if pairs_path is not None else {}
 
     verdict_path = out / "isav_verdicts.jsonl"
-    manifest_path = out / "isav_manifest.jsonl"
-    done_units = {r["unit"] for r in _load_records(manifest_path)} if args.resume else set()
+    done_units = {r["prefix"] for r in _load_records(verdict_path)} if args.resume else set()
     if not args.resume:
         verdict_path.unlink(missing_ok=True)
-        manifest_path.unlink(missing_ok=True)
 
     candidates_per_prefix = int(args.rvp_candidates or config.get("isav", {}).get("rvp_candidates", 3))
     prefix_rvps = {}
     no_rvp = []
-    pacer = BurstPacer(transport)
+    pacer = pacer_for(transport)
     for prefix, plist in pairs.items():
         if str(prefix) in done_units:
             continue
@@ -356,7 +358,6 @@ def cmd_isav(args: argparse.Namespace) -> int:
         results[prefix] = (RcvTriple(), IsavVerdict(IsavCategory.UNCERTAIN, "no_rvp", None, None))
     for prefix, (triple, verdict) in results.items():
         fileio.append_jsonl(verdict_path, _isav_verdict_record(prefix, triple, verdict))
-        fileio.append_jsonl(manifest_path, {"unit": str(prefix)})
 
     # Summaries cover every recorded prefix, including those a resumed run skipped.
     categories = {
@@ -428,11 +429,9 @@ def cmd_reach(args: argparse.Namespace) -> int:
     geo = fileio.read_coords(_input_path(config, args, "coords", required=True))
 
     verdict_path = out / "reach_verdicts.jsonl"
-    manifest_path = out / "reach_manifest.jsonl"
-    done_units = {r["unit"] for r in _load_records(manifest_path)} if args.resume else set()
+    done_units = {r["target"] for r in _load_records(verdict_path)} if args.resume else set()
     if not args.resume:
         verdict_path.unlink(missing_ok=True)
-        manifest_path.unlink(missing_ok=True)
     pending = [t for t in targets if str(t) not in done_units]
 
     reach_cfg = config.get("reach", {})
@@ -443,8 +442,8 @@ def cmd_reach(args: argparse.Namespace) -> int:
         transport,
         geo=geo,
         seed=seed,
-        rotation_gap_ms=int(reach_cfg.get("rotation_gap_ms", 300_000)),
-        baseline_refresh=int(reach_cfg.get("baseline_refresh", 20)),
+        rotation_gap_ms=int(reach_cfg.get("rotation_gap_ms", DEFAULT_ROTATION_GAP_MS)),
+        baseline_refresh=int(reach_cfg.get("baseline_refresh", DEFAULT_BASELINE_REFRESH)),
     )
     for target, record in result.records.items():
         verdict = record.verdict
@@ -460,7 +459,6 @@ def cmd_reach(args: argparse.Namespace) -> int:
                 "k": verdict.k,
             },
         )
-        fileio.append_jsonl(manifest_path, {"unit": str(target)})
 
     # Counts and scores cover every recorded target, including those a resumed run skipped.
     verdicts = {
@@ -602,6 +600,7 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-ms", dest="window_ms", type=int)
 
 
+@functools.cache  # a parser is a web of reference cycles: build one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icmpscope",
@@ -635,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retry uncertain prefixes through echo-reply limiting")
     p.add_argument("--hitlist", help="extra responder addresses for the supplemental pass")
     p.add_argument("--rvp-candidates", dest="rvp_candidates", type=int)
-    p.add_argument("--resume", action="store_true", help="skip prefixes already in the manifest")
+    p.add_argument("--resume", action="store_true",
+                   help="skip prefixes already in isav_verdicts.jsonl")
     p.set_defaults(func=cmd_isav)
 
     p = sub.add_parser("reach", help="infer reachability between targets and the RVP site")
@@ -646,7 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coords", help="coordinates file")
     p.add_argument("--reach-truth", dest="reach_truth", help="ground truth for evaluation")
     p.add_argument("--rvp-count", dest="rvp_count", type=int)
-    p.add_argument("--resume", action="store_true", help="skip targets already in the manifest")
+    p.add_argument("--resume", action="store_true",
+                   help="skip targets already in reach_verdicts.jsonl")
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("rl-classify", help="classify rate-limiter implementations")

@@ -23,6 +23,8 @@ from icmpscope._spans import SpanTable
 from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation, ProbePacket
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan, TransportError
 
+RESPONSE_WINDOW_MS = 500  # collection time after each round's last probe
+
 
 @dataclass(frozen=True, slots=True)
 class DiscoveryCaps:
@@ -156,10 +158,20 @@ def extract_pair(obs: IcmpObservation) -> DataPair:
 
 @dataclass
 class DiscoveryResult:
+    """What a scan found, and each round's start time and the prefixes it
+    probed in 1 ms slots (an unchanged order shares the round before's tuple)."""
+
     pairs: dict[IPv6Network, list[DataPair]]
     states: dict[IPv6Network, PrefixScanState]
-    schedule: list[tuple[int, IPv6Network]]
+    rounds: list[tuple[int, tuple[IPv6Network, ...]]]
     aborted: bool = False
+
+    @property
+    def schedule(self) -> Iterator[tuple[int, IPv6Network]]:
+        """Every probe's ``(send time, prefix)``, in send order."""
+        for base, probed in self.rounds:
+            for slot, prefix in enumerate(probed):
+                yield base + slot, prefix
 
 
 def run_discovery(
@@ -167,9 +179,6 @@ def run_discovery(
     caps: DiscoveryCaps,
     transport,
     seed: int = 0,
-    *,
-    response_window_ms: int = 500,
-    slot_spacing_ms: int = 1,
 ) -> DiscoveryResult:
     """Scan the prefixes until each hits a stop condition.
 
@@ -189,14 +198,14 @@ def run_discovery(
     # Sorted spans for assigning returned pairs to their prefix.
     spans = SpanTable((int(p[0]), int(p[-1]), p) for p in prefixes)
     pid_counter = itertools.count(1)
-    schedule: list[tuple[int, IPv6Network]] = []
+    rounds: list[tuple[int, tuple[IPv6Network, ...]]] = []
     aborted = False
 
     while True:
         base = transport.now()
         entries: list[tuple[int, ProbePacket]] = []
         round_pids: set[int] = set()
-        slot = 0
+        probed: list[IPv6Network] = []
         for prefix in order:
             st = states[prefix]
             if st.done:
@@ -211,18 +220,20 @@ def run_discovery(
                 dst=generate_targets(prefix, index, seed),
                 probe_id=pid,
             )
-            offset = slot * slot_spacing_ms
-            entries.append((offset, pkt))
+            entries.append((len(probed), pkt))  # 1 ms slots
             round_pids.add(pid)
-            schedule.append((base + offset, prefix))
+            probed.append(prefix)
             st.sent += 1
-            slot += 1
         if not entries:
             break
+        this_round = tuple(probed)
+        if rounds and rounds[-1][1] == this_round:
+            this_round = rounds[-1][1]  # keep one copy of an unchanged order
+        rounds.append((base, this_round))
 
         plan = SendPlan(tuple(entries))
         window = CollectWindow(
-            duration_ms=plan.span_ms + response_window_ms,
+            duration_ms=plan.span_ms + RESPONSE_WINDOW_MS,
             obs_filter=ObservationFilter(kinds=ERROR_KINDS, probe_ids=frozenset(round_pids)),
         )
         try:
@@ -252,7 +263,7 @@ def run_discovery(
     return DiscoveryResult(
         pairs={prefix: states[prefix].pairs_found for prefix in prefixes},
         states=states,
-        schedule=schedule,
+        rounds=rounds,
         aborted=aborted,
     )
 

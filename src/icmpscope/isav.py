@@ -17,13 +17,7 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import Mapping, Sequence
 
 from icmpscope.model import DataPair, IcmpKind, MeasurementParams, spoof_sources
-from icmpscope.ratelimit import (
-    BurstPacer,
-    MeasureTarget,
-    NoiseSpec,
-    RcvSample,
-    run_phased,
-)
+from icmpscope.ratelimit import MeasureTarget, NoiseSpec, RcvSample, pacer_for, run_phased
 
 SUPPLEMENTAL_PACKETS = 500  # probe and noise count for the echo-reply mode
 
@@ -130,7 +124,7 @@ class IsavCampaignResult:
 def _measure_triples(
     targets: Mapping[IPv6Network, MeasureTarget],
     params: MeasurementParams,
-    pacer: BurstPacer,
+    transport,
     local_vp: IPv6Address,
     seed: int,
 ) -> dict[IPv6Network, tuple[RcvTriple, IsavVerdict]]:
@@ -148,7 +142,7 @@ def _measure_triples(
 
     triples = {prefix: RcvTriple() for prefix in targets}
     bursts = run_phased(
-        targets, (1, 2, 3), params.repeats, burst_for, pacer, params.receive_window_ms
+        targets, (1, 2, 3), params.repeats, burst_for, transport, params.receive_window_ms
     )
     for prefix, phase, sample in bursts:
         triple = triples[prefix]
@@ -176,8 +170,7 @@ def run_isav_campaign(
     minimum quiet gap is kept per vantage point regardless.
     """
     targets = {prefix: MeasureTarget.from_pair(pair) for prefix, pair in prefix_rvps.items()}
-    pacer = BurstPacer(transport)
-    return IsavCampaignResult(_measure_triples(targets, params, pacer, local_vp, seed))
+    return IsavCampaignResult(_measure_triples(targets, params, transport, local_vp, seed))
 
 
 def run_supplemental_echo(
@@ -196,7 +189,7 @@ def run_supplemental_echo(
     echo-reply limiting needs before it becomes observable. Prefixes whose
     responders show no limiting simply stay uncertain.
     """
-    pacer = BurstPacer(transport)
+    pacer = pacer_for(transport)
     responders: dict[IPv6Network, MeasureTarget] = {}
     for prefix, pair in uncertain_rvps.items():
         candidates: list[IPv6Address] = []
@@ -210,7 +203,7 @@ def run_supplemental_echo(
                 break
 
     echo_params = replace(params, n_probe=SUPPLEMENTAL_PACKETS, m_noise=SUPPLEMENTAL_PACKETS)
-    return _measure_triples(responders, echo_params, pacer, local_vp, seed)
+    return _measure_triples(responders, echo_params, transport, local_vp, seed)
 
 
 class AsCategory(Enum):

@@ -11,15 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 from typing import Callable, Collection, Iterator, Sequence, TypeVar
 
-from icmpscope.model import DataPair, IcmpKind, MeasurementParams, ProbePacket, spoof_sources
+from icmpscope.model import DataPair, IcmpKind, IcmpObservation, MeasurementParams
+from icmpscope.model import ProbePacket, spoof_sources
 from icmpscope.simnet.config import RateLimitClass
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan
 
-DEFAULT_SPACING_MS = 1
 DEFAULT_BURST_GAP_MS = 2000
 RECEIVE_WINDOW_MS = 1000
 
@@ -46,21 +47,31 @@ class NoiseSpec:
 class BurstPacer:
     """Enforces a minimum quiet gap between bursts aimed at the same node."""
 
-    def __init__(self, transport, gap_ms: int = DEFAULT_BURST_GAP_MS) -> None:
-        self._transport = transport
-        self._gap = gap_ms
+    def __init__(self, transport) -> None:
+        # Weak: pacer_for stores the pacer on the transport, and a cycle would outlive the run.
+        self._transport = weakref.proxy(transport)
         self._last_end: dict[IPv6Address, int] = {}
 
-    def pace(self, key: IPv6Address) -> None:
+    def pace(self, key: IPv6Address, gap_ms: int = DEFAULT_BURST_GAP_MS) -> None:
+        """Wait until ``gap_ms`` has passed since the last burst at ``key`` ended."""
         last = self._last_end.get(key)
         if last is not None:
-            earliest = last + self._gap
+            earliest = last + gap_ms
             now = self._transport.now()
             if now < earliest:
                 self._transport.wait(earliest - now)
 
     def mark(self, key: IPv6Address) -> None:
         self._last_end[key] = self._transport.now()
+
+    def execute(
+        self, key: IPv6Address, plan: SendPlan, window: CollectWindow
+    ) -> list[IcmpObservation]:
+        """Send ``plan`` once ``key``'s quiet gap has passed, then restart the gap."""
+        self.pace(key)
+        observations = self._transport.execute(plan, window)
+        self.mark(key)
+        return observations
 
     def measure(
         self, mt: MeasureTarget, n: int, noise: NoiseSpec | None, receive_window_ms: int
@@ -85,23 +96,32 @@ class BurstPacer:
         return sample
 
 
+def pacer_for(transport) -> BurstPacer:
+    """The transport's one pacer, kept as ``transport.pacer`` from first use,
+    so every engine run over one transport shares each node's quiet gap."""
+    if getattr(transport, "pacer", None) is None:
+        transport.pacer = BurstPacer(transport)
+    return transport.pacer
+
+
 def run_phased(
     units: Collection[Unit],
     phases: Sequence[int],
     repeats: int,
     burst_for: Callable[[Unit, int], tuple[MeasureTarget, int, NoiseSpec | None]],
-    pacer: BurstPacer,
+    transport,
     receive_window_ms: int,
 ) -> Iterator[tuple[Unit, int, RcvSample]]:
     """Send every unit's burst for each phase, phase by phase, ``repeats`` times.
 
     Yields ``(unit, phase, sample)`` in send order. Ordering by phase means no
     node is hit twice in a row while other units still have work pending,
-    and the pacer keeps a quiet gap per node regardless. ``burst_for(unit,
-    phase)`` returns the burst's target, probe count and noise; it is called
-    just before that burst is sent, so any random draws it makes follow the
-    send order.
+    and the transport's pacer keeps a quiet gap per node regardless.
+    ``burst_for(unit, phase)`` returns the burst's target, probe count and
+    noise; it is called just before that burst is sent, so any random draws
+    it makes follow the send order.
     """
+    pacer = pacer_for(transport)
     for _round in range(repeats):
         for phase in phases:
             for unit in units:
@@ -123,13 +143,13 @@ def interleave_pattern(n_probe: int, m_noise: int) -> list[bool]:
     return slots
 
 
-def _burst_spacing(transport, total_packets: int, requested_ms: int) -> int:
-    """Widen packet spacing when a burst would exceed the transport's
-    per-prefix rate cap (the transport rejects rather than reshapes)."""
+def _burst_spacing(transport, total_packets: int) -> int:
+    """Packet spacing of a burst: 1 ms, widened when the burst would exceed the
+    transport's per-prefix rate cap (the transport rejects rather than reshapes)."""
     cap = getattr(transport, "max_pps_per_prefix", None)
     if cap and total_packets > cap:
-        return max(requested_ms, math.ceil(1000 / cap))
-    return requested_ms
+        return math.ceil(1000 / cap)
+    return 1
 
 
 def measure_rcv(
@@ -141,7 +161,6 @@ def measure_rcv(
     *,
     expect_origin: IPv6Address | None = None,
     receive_window_ms: int = RECEIVE_WINDOW_MS,
-    spacing_ms: int = DEFAULT_SPACING_MS,
 ) -> RcvSample:
     """One burst toward ``rvp_target``; returns the matched reply count.
 
@@ -150,7 +169,7 @@ def measure_rcv(
     target is the responder itself. Zero replies is a result, not an error.
     """
     m = noise.m if noise is not None else 0
-    spacing = _burst_spacing(transport, n + m, spacing_ms)
+    spacing = _burst_spacing(transport, n + m)
     pids = itertools.count(1)
     probe_ids: set[int] = set()
     entries: list[tuple[int, ProbePacket]] = []
@@ -224,7 +243,7 @@ class MeasureTarget:
 
 
 def _noise_declines(
-    targets: Sequence[MeasureTarget], m: int, n: int, transport, pacer: BurstPacer
+    targets: Sequence[MeasureTarget], m: int, n: int, transport
 ) -> list[float | None]:
     """Reply decline that m noise packets cause at each target probed with n.
 
@@ -238,7 +257,7 @@ def _noise_declines(
         return targets[i], n, None if phase == 1 else noise
 
     rcv: dict[tuple[int, int], int] = {}
-    bursts = run_phased(range(len(targets)), (1, 2), 1, burst_for, pacer, RECEIVE_WINDOW_MS)
+    bursts = run_phased(range(len(targets)), (1, 2), 1, burst_for, transport, RECEIVE_WINDOW_MS)
     for i, phase, sample in bursts:
         rcv[i, phase] = sample.rcv
     return [
@@ -263,11 +282,10 @@ def sufficiency_sweep(
     """
     if not totals:
         raise ValueError("totals must be non-empty")
-    pacer = BurstPacer(transport)
     declines: dict[int, list[float | None]] = {}
     for total in totals:
         m, n = split_counts(total, mn_ratio)
-        declines[total] = _noise_declines(targets, m, n, transport, pacer)
+        declines[total] = _noise_declines(targets, m, n, transport)
 
     table: dict[tuple[int, float], float] = {}
     for total in totals:
@@ -293,11 +311,10 @@ def ratio_sweep(
 ) -> list[RatioSweepRow]:
     """Mean observability over targets for each noise/probe split of a fixed
     packet budget."""
-    pacer = BurstPacer(transport)
     rows = []
     for ratio in ratios:
         m, n = split_counts(total, ratio)
-        values = [d for d in _noise_declines(targets, m, n, transport, pacer) if d is not None]
+        values = [d for d in _noise_declines(targets, m, n, transport) if d is not None]
         mean = sum(values) / len(values) if values else 0.0
         rows.append(RatioSweepRow(mn_ratio=ratio, m_noise=m, n_probe=n, mean_observability=mean))
     return rows
@@ -323,9 +340,8 @@ def classify_limiters(
         return MeasureTarget.from_pair(pair), params.n_probe, noise
 
     sums = {1: [0.0] * len(pairs), 2: [0.0] * len(pairs)}
-    pacer = BurstPacer(transport)
     bursts = run_phased(
-        range(len(pairs)), (1, 2), params.repeats, burst_for, pacer, params.receive_window_ms
+        range(len(pairs)), (1, 2), params.repeats, burst_for, transport, params.receive_window_ms
     )
     for i, phase, sample in bursts:
         sums[phase][i] += sample.rcv

@@ -25,7 +25,7 @@ from icmpscope.model import (
     MeasurementParams,
     ProbePacket,
 )
-from icmpscope.ratelimit import DEFAULT_BURST_GAP_MS, BurstPacer, RcvSample, measure_rcv
+from icmpscope.ratelimit import MeasureTarget, RcvSample, pacer_for
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan
 
 LIGHT_SPEED_KM_PER_MS = 300.0
@@ -161,31 +161,23 @@ def run_reach_protocol(
     rtt_a_ms: float,
     rtt_b_ms: float,
     *,
-    spoof_unreachable: IPv6Address | None = None,
     baseline: RcvSample | None = None,
-    spacing_ms: int = 1,
     probe_late_margin_ms: int = DEFAULT_PROBE_LATE_MARGIN_MS,
 ) -> tuple[RcvSample, RcvSample]:
     """One execution of the reflection protocol; returns (rcv1, rcv2).
 
-    Baseline first: n probes at the unreachable address X, counting errors
-    from the vantage point. Then a single plan: m echo requests to B spoofed
-    as X, and n plain probes at X offset by delta-t so both packet trains
-    land on the vantage point together. rcv2 counts only errors quoting X
-    that answer the second probe train.
+    Baseline first, unless one is passed in: n probes at the unreachable
+    address X (the pair's target), counting errors from the vantage point.
+    Then a single plan: m echo requests to B spoofed as X, and n plain probes
+    at X offset by delta-t so both packet trains land on the vantage point
+    together, all 1 ms apart. rcv2 counts only errors quoting X that answer
+    the second probe train. Both bursts keep the vantage point's quiet gap.
     """
-    x = spoof_unreachable if spoof_unreachable is not None else rvp.target
+    x = rvp.target
+    pacer = pacer_for(transport)
     if baseline is None:
-        baseline = measure_rcv(
-            x,
-            rvp.error_kind,
-            params.n_probe,
-            None,
-            transport,
-            expect_origin=rvp.periphery,
-            receive_window_ms=params.receive_window_ms,
-            spacing_ms=spacing_ms,
-        )
+        mt = MeasureTarget.from_pair(rvp)
+        baseline = pacer.measure(mt, params.n_probe, None, params.receive_window_ms)
     if baseline.rcv == 0:
         # Unusable vantage point for this target; skip the reflection burst.
         return baseline, RcvSample(0, params.n_probe, True, params.m_noise, transport.now())
@@ -197,7 +189,7 @@ def run_reach_protocol(
     entries: list[tuple[int, ProbePacket]] = []
     for i in range(params.m_noise):
         entries.append(
-            (spoof_start + i * spacing_ms, ProbePacket(src=x, dst=target_b, probe_id=next(pids)))
+            (spoof_start + i, ProbePacket(src=x, dst=target_b, probe_id=next(pids)))
         )
     probe_ids: set[int] = set()
     for j in range(params.n_probe):
@@ -205,7 +197,7 @@ def run_reach_protocol(
         probe_ids.add(pid)
         entries.append(
             (
-                probe_start + j * spacing_ms,
+                probe_start + j,
                 ProbePacket(src=transport.source_address, dst=x, probe_id=pid),
             )
         )
@@ -221,8 +213,9 @@ def run_reach_protocol(
             probe_ids=frozenset(probe_ids),
         ),
     )
-    t0 = transport.now()
-    observations = transport.execute(plan, window)
+    observations = pacer.execute(rvp.periphery, plan, window)
+    # The window opened at the plan start and the clock stands at its close.
+    t0 = transport.now() - window.duration_ms
     rcv2 = RcvSample(len(observations), params.n_probe, True, params.m_noise, t0)
     return baseline, rcv2
 
@@ -286,7 +279,6 @@ def run_reach_campaign(
     seed: int = 0,
     rotation_gap_ms: int = DEFAULT_ROTATION_GAP_MS,
     baseline_refresh: int = DEFAULT_BASELINE_REFRESH,
-    burst_gap_ms: int = DEFAULT_BURST_GAP_MS,
     probe_late_margin_ms: int = DEFAULT_PROBE_LATE_MARGIN_MS,
 ) -> ReachCampaignResult:
     """Measure every target k times, rotating vantage points.
@@ -305,8 +297,7 @@ def run_reach_campaign(
         estimate_fn = geo_estimator(geo, random.Random(seed))
 
     rvp_states = [_RvpState(pair) for pair in proxy_rvps]
-    pacer = BurstPacer(transport, burst_gap_ms)
-    rotation = BurstPacer(transport, rotation_gap_ms)
+    pacer = pacer_for(transport)
     records = {t: ReachRecord(t) for t in targets}
     rtt_b: dict[IPv6Address, float | None] = {}
     run_index = 0
@@ -321,28 +312,18 @@ def run_reach_campaign(
             state = rvp_states[run_index % len(rvp_states)]
             run_index += 1
             rvp_addr = state.pair.periphery
-            rotation.pace(rvp_addr)
-            pacer.pace(rvp_addr)
+            # The reuse interval, like the quiet gap, runs from the RVP's last burst.
+            pacer.pace(rvp_addr, rotation_gap_ms)
 
             if state.rtt_a is None:
                 state.rtt_a = _ping_rtt(transport, rvp_addr, params.receive_window_ms)
-            if state.baseline is None or state.uses_since_baseline >= baseline_refresh:
-                state.baseline = measure_rcv(
-                    state.pair.target,
-                    state.pair.error_kind,
-                    params.n_probe,
-                    None,
-                    transport,
-                    expect_origin=rvp_addr,
-                    receive_window_ms=params.receive_window_ms,
-                )
+            if state.uses_since_baseline >= baseline_refresh:
+                state.baseline = None  # the protocol measures a fresh one
                 state.uses_since_baseline = 0
-                pacer.mark(rvp_addr)
-                pacer.pace(rvp_addr)
 
             rtt_a = state.rtt_a if state.rtt_a is not None else 0.0
             est = estimate_fn(target, state.pair, rtt_a, rtt_b[target])  # type: ignore[arg-type]
-            baseline, rcv2 = run_reach_protocol(
+            state.baseline, rcv2 = run_reach_protocol(
                 target,
                 state.pair,
                 params,
@@ -354,9 +335,7 @@ def run_reach_campaign(
                 probe_late_margin_ms=probe_late_margin_ms,
             )
             state.uses_since_baseline += 1
-            pacer.mark(rvp_addr)
-            rotation.mark(rvp_addr)
-            records[target].samples.append((baseline.rcv, rcv2.rcv))
+            records[target].samples.append((state.baseline.rcv, rcv2.rcv))
 
     for record in records.values():
         if record.samples:

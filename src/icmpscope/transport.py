@@ -70,10 +70,9 @@ class ObservationFilter:
 
 @dataclass(frozen=True, slots=True)
 class CollectWindow:
-    """Collection interval: ``open_at`` defaults to the plan start."""
+    """Collection interval, opening at the plan start."""
 
     duration_ms: int
-    open_at: int | None = None
     obs_filter: ObservationFilter | None = None
 
     def __post_init__(self) -> None:
@@ -113,12 +112,11 @@ class SimTransport:
         *,
         max_pps_per_prefix: int = DEFAULT_MAX_PPS_PER_PREFIX,
         pacing_prefix_len: int = DEFAULT_PACING_PREFIX_LEN,
-        start_time_ms: int = 0,
     ) -> None:
         self.world = SimWorld(cfg)
         self.max_pps_per_prefix = max_pps_per_prefix
         self.pacing_prefix_len = pacing_prefix_len
-        self._now = start_time_ms
+        self._now = 0
 
     @property
     def source_address(self) -> IPv6Address:
@@ -144,14 +142,13 @@ class SimTransport:
         base = self._now
         for offset, pkt in plan.packets:
             self.world.inject(base + offset, pkt)
-        open_at = window.open_at if window.open_at is not None else base
-        close_at = max(open_at + window.duration_ms, base + plan.span_ms)
+        close_at = base + max(window.duration_ms, plan.span_ms)
         self.world.run_until(close_at)
         self._now = close_at
         out = []
         flt = window.obs_filter
         for obs in self.world.drain_observations():
-            if obs.received_at < open_at or obs.received_at > close_at:
+            if obs.received_at < base or obs.received_at > close_at:
                 continue
             if flt is None or flt.matches(obs):
                 out.append(obs)

@@ -1,10 +1,14 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
+from icmpscope import cli, fileio
 from icmpscope.cli import main
-from icmpscope import fileio
+from icmpscope.model import IcmpKind
+from icmpscope.ratelimit import DEFAULT_BURST_GAP_MS
+from icmpscope.transport import SimTransport
 
 
 def run_cli(*argv):
@@ -77,21 +81,72 @@ def test_isav_resume_skips_completed_prefixes(tmp_path):
     first = (out / "isav_verdicts.jsonl").read_text()
     n_records = len(first.splitlines())
     tables = read_tables(out, ISAV_TABLES)
-    # Rerunning with --resume finds everything in the manifest and adds nothing;
-    # the summaries still cover every recorded prefix.
+    # Rerunning with --resume finds everything in the verdict file and adds
+    # nothing; the summaries still cover every recorded prefix.
     assert run_cli("isav", "--config", config, "--repeats", "2", "--resume") == 0
     assert len((out / "isav_verdicts.jsonl").read_text().splitlines()) == n_records
     assert read_tables(out, ISAV_TABLES) == tables
 
-    # Partial manifest: only the first unit is recorded as done.
-    lines = (out / "isav_manifest.jsonl").read_text().splitlines()
-    (out / "isav_manifest.jsonl").write_text(lines[0] + "\n")
+    # Partial verdict file: only the first unit is recorded as done.
     (out / "isav_verdicts.jsonl").write_text(first.splitlines()[0] + "\n")
     assert run_cli("isav", "--config", config, "--repeats", "2", "--resume") == 0
     resumed = [json.loads(l)["prefix"] for l in (out / "isav_verdicts.jsonl").read_text().splitlines()]
     assert len(resumed) == n_records
     assert len(set(resumed)) == n_records
     assert read_tables(out, ISAV_TABLES) == tables
+
+
+def test_isav_keeps_each_routers_quiet_gap_across_every_step(tmp_path, monkeypatch):
+    """RVP scoring, the error campaign and the supplemental echo pass share one
+    pacer, so no router sees two bursts closer than the quiet gap."""
+    out = simulate_demo(tmp_path)
+    pairs = out / "pairs.jsonl"
+    # One prefix behind an unlimited router: its error verdict stays
+    # uncertain, so the echo pass measures the same router again.
+    kept = "2001:db8:100a::/48"
+    lines = pairs.read_text().splitlines()
+    pairs.write_text("".join(line + "\n" for line in lines if json.loads(line)["prefix"] == kept))
+    bursts = []
+
+    class RecordingTransport(SimTransport):
+        def execute(self, plan, window):
+            start = self.now()
+            observations = super().execute(plan, window)
+            flt = window.obs_filter
+            bursts.append((flt.origin, IcmpKind.ECHO_REPLY in flt.kinds, start, self.now()))
+            return observations
+
+    monkeypatch.setattr(cli, "SimTransport", RecordingTransport)
+    config = str(out / "campaign.json")
+    assert run_cli("isav", "--config", config, "--supplemental", "--repeats", "2") == 0
+    last_end = {}
+    for origin, _echo, start, end in bursts:
+        if origin in last_end:
+            assert start - last_end[origin] >= DEFAULT_BURST_GAP_MS, origin
+        last_end[origin] = end
+    assert {echo for _origin, echo, _start, _end in bursts} == {False, True}
+
+
+def test_isav_supplemental_runs_from_the_preset_config_alone(tmp_path):
+    out = tmp_path / "supp"
+    assert run_cli("simulate", "--preset", "supplemental", "--seed", "4", "--out", str(out)) == 0
+    config = str(out / "campaign.json")
+    assert run_cli("isav", "--config", config) == 1  # the error campaign needs pairs
+    assert run_cli("isav", "--config", config, "--supplemental") == 0
+    alone = (out / "isav_verdicts.jsonl").read_bytes()
+    empty = out / "empty_pairs.jsonl"
+    empty.write_text("")
+    assert run_cli("isav", "--config", config, "--supplemental", "--pairs", str(empty)) == 0
+    assert alone and (out / "isav_verdicts.jsonl").read_bytes() == alone
+
+
+def test_cli_steps_leave_no_cyclic_garbage(tmp_path):
+    """In-process callers run many steps, so each step's parser, transport and
+    world must be freed by reference counting, not left to the cycle collector."""
+    out = simulate_demo(tmp_path)
+    gc.collect()
+    assert run_cli("isav", "--config", str(out / "campaign.json"), "--repeats", "1") == 0
+    assert gc.collect() == 0
 
 
 def test_reach_resume_keeps_the_evaluation_tables(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -12,6 +13,7 @@ from icmpscope.ratelimit import (
     interleave_pattern,
     measure_rcv,
     observability,
+    pacer_for,
     ratio_sweep,
     split_counts,
     sufficiency_sweep,
@@ -21,6 +23,15 @@ from icmpscope.simnet import scenarios
 from icmpscope.transport import SimTransport
 
 from test_simnet import DEAD, ROUTER, star_config
+
+
+def test_pacer_for_keeps_one_pacer_per_transport_without_a_cycle():
+    tp = SimTransport(star_config(Unlimited()))
+    pacer = pacer_for(tp)
+    assert pacer_for(tp) is pacer and tp.pacer is pacer
+    freed = weakref.ref(tp)
+    del tp
+    assert freed() is None  # reference counting alone frees it, pacer or not
 
 
 def test_interleave_pattern_two_noise_per_probe():

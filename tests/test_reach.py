@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from ipaddress import IPv6Network
 
@@ -6,7 +7,8 @@ import pytest
 
 from oracles import mann_whitney_auc
 
-from icmpscope.model import MeasurementParams, parse_address, parse_prefix
+from icmpscope.model import IcmpKind, MeasurementParams, parse_address, parse_prefix
+from icmpscope.ratelimit import DEFAULT_BURST_GAP_MS
 from icmpscope.reach import (
     CoordinateMap,
     ReachCategory,
@@ -222,6 +224,42 @@ def test_campaign_silent_target_is_uncertain_by_policy():
     )
     assert result.records[silent].verdict.category is ReachCategory.UNCERTAIN
     assert result.records[silent].samples == []
+
+
+def test_campaign_keeps_burst_and_rotation_gaps_per_rvp():
+    """Every error-counting burst at an RVP waits out the quiet gap after the
+    previous one, and every use of an RVP waits out the rotation gap after the
+    previous use's reflection burst. The RTT pings stay unpaced."""
+    bundle, _ = reach_world(8, 2, seed=18)
+    bursts = []
+
+    class RecordingTransport(SimTransport):
+        def execute(self, plan, window):
+            start = self.now()
+            observations = super().execute(plan, window)
+            if window.obs_filter.kinds != {IcmpKind.ECHO_REPLY}:
+                reflection = any(pkt.src != self.source_address for _t, pkt in plan.packets)
+                bursts.append((window.obs_filter.origin, reflection, start, self.now()))
+            return observations
+
+    rotation_gap_ms = 10_000
+    run_reach_campaign(
+        bundle.reach_targets, bundle.proxy_rvps, MeasurementParams(repeats=3, lam=0.7),
+        RecordingTransport(bundle.cfg), estimate_fn=perfect_estimator(bundle), seed=18,
+        rotation_gap_ms=rotation_gap_ms, baseline_refresh=2,
+    )
+    last = {}
+    baselines = Counter()
+    for rvp, reflection, start, end in bursts:
+        if rvp in last:
+            after_reflection, previous_end = last[rvp]
+            assert start - previous_end >= DEFAULT_BURST_GAP_MS
+            if after_reflection:  # this burst starts a new use of the RVP
+                assert start - previous_end >= rotation_gap_ms
+        baselines[rvp] += not reflection
+        last[rvp] = (reflection, end)
+    assert len(baselines) == len(bundle.proxy_rvps)
+    assert min(baselines.values()) >= 2  # the baseline was refreshed
 
 
 def test_isav_on_target_network_does_not_affect_verdicts():
