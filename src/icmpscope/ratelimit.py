@@ -35,7 +35,6 @@ class RcvSample:
     n_sent: int
     with_noise: bool
     m_noise: int
-    t: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,9 +191,8 @@ def measure_rcv(
             probe_ids=frozenset(probe_ids),
         ),
     )
-    t0 = transport.now()
     observations = transport.execute(plan, window)
-    return RcvSample(rcv=len(observations), n_sent=n, with_noise=noise is not None, m_noise=m, t=t0)
+    return RcvSample(rcv=len(observations), n_sent=n, with_noise=noise is not None, m_noise=m)
 
 
 def classify(rcv1_avg: float, rcv2_avg: float, n: int, lam: float) -> RateLimitClass:

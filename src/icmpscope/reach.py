@@ -180,7 +180,7 @@ def run_reach_protocol(
         baseline = pacer.measure(mt, params.n_probe, None, params.receive_window_ms)
     if baseline.rcv == 0:
         # Unusable vantage point for this target; skip the reflection burst.
-        return baseline, RcvSample(0, params.n_probe, True, params.m_noise, transport.now())
+        return baseline, RcvSample(0, params.n_probe, True, params.m_noise)
 
     dt = round(delta_t(rtt_a_ms, rtt_b_ms, est.sample_ms))
     spoof_start = max(0, -dt)
@@ -214,10 +214,7 @@ def run_reach_protocol(
         ),
     )
     observations = pacer.execute(rvp.periphery, plan, window)
-    # The window opened at the plan start and the clock stands at its close.
-    t0 = transport.now() - window.duration_ms
-    rcv2 = RcvSample(len(observations), params.n_probe, True, params.m_noise, t0)
-    return baseline, rcv2
+    return baseline, RcvSample(len(observations), params.n_probe, True, params.m_noise)
 
 
 EstimateFn = Callable[[IPv6Address, DataPair, float, float], RttEstimate]

@@ -12,9 +12,15 @@ order, and heap ties break on a monotonic sequence number.
 Lookups are indexed once at construction. Directed cut edges become, per
 destination, one sorted list of merged source spans (nested, duplicate and
 touching cut prefixes fused), so a packet's cut check is a single bisection;
-served prefixes resolve to their site the same way. The world keeps no
-per-packet log: ``_uid`` counts packets sent and ``_seq`` counts those that
-were scheduled for arrival.
+served prefixes resolve to their site the same way. ``_route`` is the one
+routing step (cut check, site, link). The world keeps no per-packet log:
+``_uid`` counts packets sent and ``_seq`` counts those that were scheduled
+for arrival.
+
+The prober's probes enter a whole plan at a time through ``inject``: each
+destination is routed once per plan and each link draws its loss and jitter
+in one ``mix_units`` pass, yet every packet keeps the uid, the draws and the
+heap entry that one ``_send`` per packet would give it.
 
 Second-order traffic matters here: an echo reply that lands on a router whose
 served prefix contains an unreachable destination consumes that router's
@@ -25,10 +31,12 @@ source, not to the prober. That token drain is the observable side channel.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from heapq import heappop, heappush
 from ipaddress import IPv6Address
 
 from icmpscope._mix import mix_unit as _mix_unit
+from icmpscope._mix import mix_units as _mix_units
 from icmpscope._spans import SpanTable, merge_spans
 from icmpscope.model import IcmpKind, IcmpObservation, ProbePacket
 from icmpscope.simnet.config import SimConfig, SimConfigError
@@ -120,13 +128,95 @@ class SimWorld:
 
     # -- event machinery -------------------------------------------------
 
-    def inject(self, t_ms: int, pkt: ProbePacket) -> None:
-        """Emit a probe from the local prober at absolute time ``t_ms``."""
-        if pkt.kind is not IcmpKind.ECHO_REQUEST:
-            raise ValueError("the prober injects only echo requests")
-        self._send(
-            t_ms, IcmpKind.ECHO_REQUEST, int(pkt.src), int(pkt.dst), None, pkt.probe_id, self._prober, self._prober
-        )
+    def inject(self, base: int, packets: Sequence[tuple[int, ProbePacket]]) -> None:
+        """Emit a plan's probes from the local prober, each at ``base + offset``.
+
+        Same draws and heap entries as one ``_send`` per packet in plan order:
+        every packet takes the next uid, routed or not, and survivors take the
+        next ``_seq``. The sender is always the prober, so each destination
+        address is converted and routed once, and each link draws loss, then
+        jitter for the survivors, in one ``mix_units`` call over its uids.
+        """
+        prober = self._prober
+        uid0 = self._uid
+        # id(dst address) -> (dst, site, uids on its link), or (dst, None, None)
+        # when unrouted; the plan keeps its addresses alive, so ids are stable.
+        targets: dict[int, tuple[int, int | None, list[int] | None]] = {}
+        by_link: dict[tuple | None, list[int]] = {}  # None: delivered inside the prober's site
+        rows = []
+        for i, (_offset, pkt) in enumerate(packets):
+            if pkt.kind is not IcmpKind.ECHO_REQUEST:
+                raise ValueError("the prober injects only echo requests")
+            key = id(pkt.dst)
+            target = targets.get(key)
+            if target is None:
+                dst = int(pkt.dst)
+                route = self._route(dst, prober, prober)
+                if route is None:
+                    target = (dst, None, None)
+                else:
+                    target = (dst, route[0], by_link.setdefault(route[1], []))
+                targets[key] = target
+            rows.append(target)
+            uids = target[2]
+            if uids is not None:
+                uids.append(uid0 + i)
+        self._uid = uid0 + len(rows)
+
+        seed = self._seed
+        delays: list[int | None] = [None] * len(rows)
+        for link, uids in by_link.items():
+            if link is None:
+                for uid in uids:
+                    delays[uid - uid0] = 0
+                continue
+            idx, owd, jitter, loss = link
+            if loss:
+                uids = [uid for uid, u in zip(uids, _mix_units(seed, uids, idx * 2)) if u >= loss]
+            if jitter:
+                for uid, u in zip(uids, _mix_units(seed, uids, idx * 2 + 1)):
+                    delays[uid - uid0] = int(round(owd * (1.0 + jitter * (2.0 * u - 1.0))))
+            else:
+                fixed = int(round(owd))
+                for uid in uids:
+                    delays[uid - uid0] = fixed
+
+        heap = self._heap
+        seq = self._seq
+        kind = IcmpKind.ECHO_REQUEST
+        srcs: dict[int, int] = {}  # id(src address) -> int
+        for (offset, pkt), (dst, site, _uids), delay in zip(packets, rows, delays):
+            if delay is None:
+                continue
+            key = id(pkt.src)
+            src = srcs.get(key)
+            if src is None:
+                src = srcs[key] = int(pkt.src)
+            seq += 1
+            heappush(
+                heap, (base + offset + delay, seq, site, prober, kind, src, dst, None, pkt.probe_id)
+            )
+        self._seq = seq
+
+    def _route(self, dst: int, from_site: int, sender: int) -> tuple[int, tuple | None] | None:
+        """``(to_site, link)`` for a packet from ``sender`` at ``from_site``,
+        with ``link`` None inside one site; None if the edge is cut, ``dst``
+        is unrouted or no link joins the two sites."""
+        cut = self._cuts_by_dst.get(dst)
+        if cut is not None:
+            i = bisect_right(cut.los, sender)
+            if i and sender <= cut.his[i - 1]:
+                return None
+        to_site = self._site_of(dst)
+        if to_site is None:
+            return None
+        if to_site == from_site:
+            return to_site, None
+        a, b = (from_site, to_site) if from_site <= to_site else (to_site, from_site)
+        link = self._links.get((a, b))
+        if link is None:
+            return None
+        return to_site, link
 
     def _send(
         self,
@@ -141,21 +231,13 @@ class SimWorld:
     ) -> None:
         uid = self._uid
         self._uid = uid + 1
-        cut = self._cuts_by_dst.get(dst)
-        if cut is not None:
-            i = bisect_right(cut.los, sender)
-            if i and sender <= cut.his[i - 1]:
-                return
-        to_site = self._site_of(dst)
-        if to_site is None:
+        route = self._route(dst, from_site, sender)
+        if route is None:
             return
-        if to_site == from_site:
+        to_site, link = route
+        if link is None:
             delay = 0
         else:
-            a, b = (from_site, to_site) if from_site <= to_site else (to_site, from_site)
-            link = self._links.get((a, b))
-            if link is None:
-                return
             idx, base, jitter, loss = link
             if loss and _mix_unit(self._seed, uid, idx * 2) < loss:
                 return
@@ -258,7 +340,6 @@ def run_events(cfg: SimConfig, injected: list[tuple[int, ProbePacket]]) -> list[
             raise SimConfigError("injected timestamps must be non-decreasing")
         last = t_ms
     world = SimWorld(cfg)
-    for t_ms, pkt in injected:
-        world.inject(t_ms, pkt)
+    world.inject(0, injected)
     world.run_all()
     return world.observations

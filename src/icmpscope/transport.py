@@ -86,6 +86,8 @@ def _check_rate_cap(plan: SendPlan, max_pps: int, prefix_len: int) -> None:
     The cap is a hard courtesy limit: engines must bake compliant spacing into
     their plan offsets, because the transport never reshapes emission times.
     """
+    if len(plan.packets) <= max_pps:
+        return  # no prefix can hold more than max_pps packets
     shift = 128 - prefix_len
     per_prefix: dict[int, list[int]] = {}
     for offset, pkt in plan.packets:
@@ -140,8 +142,7 @@ class SimTransport:
         """
         _check_rate_cap(plan, self.max_pps_per_prefix, self.pacing_prefix_len)
         base = self._now
-        for offset, pkt in plan.packets:
-            self.world.inject(base + offset, pkt)
+        self.world.inject(base, plan.packets)
         close_at = base + max(window.duration_ms, plan.span_ms)
         self.world.run_until(close_at)
         self._now = close_at

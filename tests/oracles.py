@@ -4,7 +4,9 @@ These deliberately use different algorithms from the library code they check:
 the token-bucket replay walks the placement schedule one token at a time
 instead of computing whole-interval refills in closed form; the router
 handler answers one delivered packet at a time without the event loop; the
-AUC counts ranked pairs instead of integrating the ROC curve.
+per-packet injection routes and draws for every probe on its own instead of
+once per destination and link; the AUC counts ranked pairs instead of
+integrating the ROC curve.
 """
 
 from __future__ import annotations
@@ -95,6 +97,16 @@ def router_handle(
         if bank.try_emit(router.error_kind, src, now):
             return IcmpObservation(router.error_kind, router.address, pkt.dst, now, pkt.probe_id)
     return None
+
+
+def inject_each(world, base: int, packets) -> None:
+    """Per-packet reference for ``SimWorld.inject``: one ``_send`` per probe,
+    in plan order, each routed and drawn on its own."""
+    prober = world._prober
+    for offset, pkt in packets:
+        world._send(
+            base + offset, IcmpKind.ECHO_REQUEST, int(pkt.src), int(pkt.dst), None, pkt.probe_id, prober, prober
+        )
 
 
 def mann_whitney_auc(labels: list[bool], scores: list[float]) -> float:

@@ -61,9 +61,9 @@ def test_select_rvp_prefers_moderate_limiting():
 
 def test_rcv_triple_statistics():
     triple = RcvTriple(
-        samples1=[RcvSample(10, 50, False, 0, 0), RcvSample(10, 50, False, 0, 1)],
-        samples2=[RcvSample(3, 50, True, 100, 2), RcvSample(4, 50, True, 100, 3)],
-        samples3=[RcvSample(10, 50, True, 100, 4), RcvSample(10, 50, True, 100, 5)],
+        samples1=[RcvSample(10, 50, False, 0), RcvSample(10, 50, False, 0)],
+        samples2=[RcvSample(3, 50, True, 100), RcvSample(4, 50, True, 100)],
+        samples3=[RcvSample(10, 50, True, 100), RcvSample(10, 50, True, 100)],
     )
     assert triple.avg1 == 10.0
     assert triple.avg2 == 3.5

@@ -4,7 +4,7 @@ from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 
-from oracles import replay_token_bucket, router_handle
+from oracles import inject_each, replay_token_bucket, router_handle
 
 from icmpscope.model import IcmpKind, ProbePacket, parse_address, parse_prefix
 from icmpscope.simnet import (
@@ -319,6 +319,79 @@ def test_cut_index_matches_linear_oracle_on_nested_cuts():
             for dst in dsts:
                 expected = not oracle_reachable(cfg, IPv6Address(sender), dst)
                 assert world_drops_as_cut(world, sender, int(dst)) == expected, (sender, dst)
+
+
+# -- plan injection -------------------------------------------------------------
+
+# Four /48 sites; the fourth has no link to the prober, so its traffic is
+# dropped at routing like cut and unrouted packets.
+INJECT_SITES = tuple(parse_prefix(f"2001:db8:{i}::/48") for i in (1, 2, 3, 4))
+UNROUTED = parse_address("2001:db8:99::1")
+
+
+def inject_config(rng):
+    routers = [
+        SimRouter(address=p[1], served_prefix=p, limiter=TokenBucket(rng.randint(2, 8), 50),
+                  isav_ingress=rng.random() < 0.5)
+        for p in INJECT_SITES
+    ]
+    hosts = [SimHost(p[0xb], responds_to_echo=rng.random() < 0.7) for p in INJECT_SITES]
+    links = {
+        link_key(PROBER, r.address): LinkModel(
+            rng.uniform(0.0, 30.0), rng.choice([0.0, 0.2, 0.5]), rng.choice([0.0, 0.1, 0.4])
+        )
+        for r in routers[:3]
+    }
+    dsts = [r.address for r in routers] + [h.address for h in hosts] + [p[0xdead] for p in INJECT_SITES]
+    cuts = set()
+    for _ in range(rng.randint(0, 4)):
+        # Most cuts cover the prober; the rest cover another site only.
+        covering = IPv6Network((int(PROBER), rng.choice([32, 48, 64, 128])), strict=False)
+        cuts.add((covering if rng.random() < 0.8 else INJECT_SITES[3], rng.choice(dsts)))
+    return SimConfig(prober=PROBER, routers=routers, hosts=hosts, links=links,
+                     unreachable_pairs=cuts, seed=rng.getrandbits(64))
+
+
+def inject_plan(rng, cfg):
+    dsts = ([r.address for r in cfg.routers] + [h.address for h in cfg.hosts]
+            + [p[0xdead] for p in INJECT_SITES] + [UNROUTED, PROBER])
+    srcs = [PROBER, PROBER, INJECT_SITES[0][0x5], INJECT_SITES[2][0xdead], UNROUTED]
+    chosen = rng.sample(dsts, rng.randint(1, 4))
+    plan, t = [], 0
+    for pid in range(rng.randint(0, 60)):
+        t += rng.choice([0, 0, 1, 3])
+        # Equal addresses as distinct objects, as a caller may build them.
+        dst = IPv6Address(int(rng.choice(chosen)))
+        plan.append((t, ProbePacket(src=rng.choice(srcs), dst=dst, probe_id=pid)))
+    return plan
+
+
+def test_inject_matches_per_packet_sends():
+    rng = random.Random(808)
+    for _ in range(120):
+        cfg = inject_config(rng)
+        batched, each = SimWorld(cfg), SimWorld(cfg)
+        base = 0
+        for _plan in range(rng.randint(1, 4)):
+            plan = inject_plan(rng, cfg)
+            batched.inject(base, plan)
+            inject_each(each, base, plan)
+            assert (batched._uid, batched._seq) == (each._uid, each._seq)
+            assert sorted(batched._heap) == sorted(each._heap)
+            base += rng.randint(0, 40)
+            batched.run_until(base)
+            each.run_until(base)
+        batched.run_all()
+        each.run_all()
+        assert batched.observations == each.observations
+
+
+def test_inject_rejects_a_non_echo_plan_whole():
+    world = SimWorld(star_config(Unlimited()))
+    plan = burst(DEAD, 3) + [(3, ProbePacket(src=PROBER, dst=DEAD, kind=IcmpKind.ECHO_REPLY))]
+    with pytest.raises(ValueError, match="only echo requests"):
+        world.inject(0, plan)
+    assert (world._uid, world._seq, world._heap) == (0, 0, [])
 
 
 # -- single-router handler ----------------------------------------------------

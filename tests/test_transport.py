@@ -77,6 +77,16 @@ def test_rate_cap_accepts_compliant_spacing():
     tp.execute(plan, CollectWindow(duration_ms=3000))
 
 
+def test_rate_cap_boundary_within_one_millisecond():
+    tp = make_transport()
+    cap = tp.max_pps_per_prefix
+    tp.execute(SendPlan(tuple(burst(DEAD, cap, spacing=0))), CollectWindow(duration_ms=1000))
+    other = parse_address("2001:db8:1:ffff::1")  # same /48 as DEAD
+    plan = SendPlan(tuple(burst(DEAD, cap, spacing=0) + burst(other, 1, pid_start=cap + 1)))
+    with pytest.raises(TransportError):
+        tp.execute(plan, CollectWindow(duration_ms=1000))
+
+
 def test_plan_validation():
     with pytest.raises(TransportError):
         SendPlan(((5, ProbePacket(src=PROBER, dst=DEAD)), (1, ProbePacket(src=PROBER, dst=DEAD))))
