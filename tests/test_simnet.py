@@ -27,6 +27,7 @@ from icmpscope.simnet import (
 )
 from icmpscope.simnet.config import link_key
 from icmpscope.simnet.limiter import LimiterBank, LimiterScope
+from icmpscope.simnet.world import _INJECT_SLICE
 
 PROBER = parse_address("2001:db8:ffff::1")
 PREFIX = parse_prefix("2001:db8:1::/48")
@@ -358,7 +359,8 @@ def inject_plan(rng, cfg):
     srcs = [PROBER, PROBER, INJECT_SITES[0][0x5], INJECT_SITES[2][0xdead], UNROUTED]
     chosen = rng.sample(dsts, rng.randint(1, 4))
     plan, t = [], 0
-    for pid in range(rng.randint(0, 60)):
+    # Up to three slices, so that uids, draws and order carry across slices.
+    for pid in range(rng.randint(0, 3 * _INJECT_SLICE)):
         t += rng.choice([0, 0, 1, 3])
         # Equal addresses as distinct objects, as a caller may build them.
         dst = IPv6Address(int(rng.choice(chosen)))
