@@ -6,22 +6,28 @@ schedule round-robins across prefixes in an order drawn from a cyclic group
 permutation, so no network is ever probed in succession while another is
 still unfinished. Error messages come back quoting the probed target, which
 gives the <target, periphery> data pairs.
+
+Each round walks only the prefixes still live: a prefix that hits a stop
+condition leaves the round list for good. The permutation's prime and
+primitive root come from the small helpers below (a deterministic
+Miller-Rabin test and trial division), so importing this module loads no
+third-party package; only :func:`cyclic_permutation_blocks` imports numpy,
+when it is first run.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from ipaddress import IPv6Address, IPv6Network
-from typing import Iterator, Sequence
-
-import numpy as np
-import sympy
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from icmpscope._mix import mix64
 from icmpscope._spans import SpanTable
 from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation, ProbePacket
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan, TransportError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RESPONSE_WINDOW_MS = 500  # collection time after each round's last probe
 
@@ -48,11 +54,62 @@ class PrefixScanState:
     done: bool = False
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the first twelve primes as bases: deterministic, and
+    exact below 3.3e24, so for every 64-bit integer."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(n: int) -> int:
+    """Smallest prime strictly greater than ``n``."""
+    p = n + 1
+    while not _is_prime(p):
+        p += 1
+    return p
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of ``n >= 1``, ascending, by trial division."""
+    factors = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def _smallest_primitive_root(p: int) -> int:
     if p == 2:
         return 1
     order = p - 1
-    prime_factors = list(sympy.factorint(order))
+    prime_factors = _prime_factors(order)
     for g in range(2, p):
         if all(pow(g, order // q, p) != 1 for q in prime_factors):
             return g
@@ -65,7 +122,7 @@ def _perm_params(n: int, seed: int) -> tuple[int, int, int]:
     the same (n, seed) always replays the same schedule; the seed only rotates
     where in the cycle the walk begins.
     """
-    p = int(sympy.nextprime(n))
+    p = _next_prime(n)
     g = _smallest_primitive_root(p)
     return p, g, seed % (p - 1)
 
@@ -95,8 +152,11 @@ def cyclic_permutation_blocks(n: int, seed: int = 0, block: int = 8192) -> Itera
 
     The first block is computed scalar-wise; every later block is the previous
     one times g^block (mod p), which vectorizes. Values stay below ~2^21 for
-    the supported n, so int64 products never overflow.
+    the supported n, so int64 products never overflow. No campaign calls
+    this, so numpy is imported here rather than with the module.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -128,7 +188,7 @@ def generate_targets(prefix: IPv6Network, index: int, seed: int) -> IPv6Address:
     For prefixes longer than /64 there are no subnet bits to rotate, so the
     index only keys the randomization of the remaining host bits.
     """
-    base = int(prefix[0])
+    base = int(prefix.network_address)
     plen = prefix.prefixlen
     digest = mix64(seed ^ plen, (base >> 64) ^ (base & ((1 << 64) - 1)), index)
     if plen <= 64:
@@ -190,51 +250,49 @@ def run_discovery(
         raise ValueError("no prefixes to scan")
 
     states = {prefix: PrefixScanState(prefix) for prefix in prefixes}
-    seen: dict[IPv6Network, set[tuple[IPv6Address, IPv6Address]]] = {p: set() for p in prefixes}
-    order = [prefixes[i - 1] for i in cyclic_permutation(len(prefixes), seed)]
-    target_indices = {
-        prefix: _target_index_iter(prefix, caps.probe_cap, seed) for prefix in prefixes
+    # One slot per prefix: its state, its target indices and the (target,
+    # periphery) keys it has kept. Rounds walk the live slots in permuted order.
+    slots = {
+        prefix: (st, _target_index_iter(prefix, caps.probe_cap, seed), set())
+        for prefix, st in states.items()
     }
-    # Sorted spans for assigning returned pairs to their prefix.
-    spans = SpanTable((int(p[0]), int(p[-1]), p) for p in prefixes)
-    pid_counter = itertools.count(1)
+    live = [slots[prefixes[i - 1]] for i in cyclic_permutation(len(prefixes), seed)]
+    # Sorted spans for assigning returned pairs to their prefix's slot.
+    spans = SpanTable((int(p[0]), int(p[-1]), slots[p]) for p in prefixes)
+    src = transport.source_address
+    pair_cap, probe_cap = caps.pair_cap, caps.probe_cap
+    next_pid = 1
     rounds: list[tuple[int, tuple[IPv6Network, ...]]] = []
     aborted = False
 
     while True:
         base = transport.now()
-        entries: list[tuple[int, ProbePacket]] = []
-        round_pids: set[int] = set()
+        first_pid = next_pid
+        packets: list[ProbePacket] = []
         probed: list[IPv6Network] = []
-        for prefix in order:
-            st = states[prefix]
-            if st.done:
-                continue
-            index = next(target_indices[prefix], None)
+        for st, indices, _seen in live:
+            index = next(indices, None)
             if index is None:
                 st.done = True  # target space exhausted before any cap
                 continue
-            pid = next(pid_counter)
-            pkt = ProbePacket(
-                src=transport.source_address,
-                dst=generate_targets(prefix, index, seed),
-                probe_id=pid,
-            )
-            entries.append((len(probed), pkt))  # 1 ms slots
-            round_pids.add(pid)
-            probed.append(prefix)
+            dst = generate_targets(st.prefix, index, seed)
+            packets.append(ProbePacket(src=src, dst=dst, probe_id=next_pid))
+            next_pid += 1
+            probed.append(st.prefix)
             st.sent += 1
-        if not entries:
+        if not packets:
             break
         this_round = tuple(probed)
         if rounds and rounds[-1][1] == this_round:
             this_round = rounds[-1][1]  # keep one copy of an unchanged order
         rounds.append((base, this_round))
 
-        plan = SendPlan(tuple(entries))
+        plan = SendPlan(tuple(enumerate(packets)))  # 1 ms slots
         window = CollectWindow(
             duration_ms=plan.span_ms + RESPONSE_WINDOW_MS,
-            obs_filter=ObservationFilter(kinds=ERROR_KINDS, probe_ids=frozenset(round_pids)),
+            obs_filter=ObservationFilter(
+                kinds=ERROR_KINDS, probe_ids=frozenset(range(first_pid, next_pid))
+            ),
         )
         try:
             observations = transport.execute(plan, window)
@@ -244,24 +302,27 @@ def run_discovery(
 
         for obs in observations:
             pair = extract_pair(obs)
-            prefix = spans.find(int(pair.target))
-            if prefix is None:
+            slot = spans.find(int(pair.target))
+            if slot is None:
                 continue
-            st = states[prefix]
+            st, _indices, seen = slot
             key = (pair.target, pair.periphery)
-            if st.done or key in seen[prefix] or len(st.pairs_found) >= caps.pair_cap:
+            if st.done or key in seen or len(st.pairs_found) >= pair_cap:
                 continue
-            seen[prefix].add(key)
+            seen.add(key)
             st.pairs_found.append(pair)
 
-        for st in states.values():
-            if not st.done and (
-                len(st.pairs_found) >= caps.pair_cap or st.sent >= caps.probe_cap
-            ):
+        still_live = []
+        for slot in live:
+            st = slot[0]
+            if st.done or len(st.pairs_found) >= pair_cap or st.sent >= probe_cap:
                 st.done = True
+            else:
+                still_live.append(slot)
+        live = still_live
 
     return DiscoveryResult(
-        pairs={prefix: states[prefix].pairs_found for prefix in prefixes},
+        pairs={prefix: st.pairs_found for prefix, st in states.items()},
         states=states,
         rounds=rounds,
         aborted=aborted,
@@ -273,5 +334,5 @@ def _target_index_iter(prefix: IPv6Network, probe_cap: int, seed: int) -> Iterat
         return iter(range(probe_cap))
     space = 1 << (64 - prefix.prefixlen)
     n = min(space, probe_cap)
-    per_prefix_seed = mix64(seed, int(prefix[0]) & ((1 << 64) - 1), prefix.prefixlen)
+    per_prefix_seed = mix64(seed, int(prefix.network_address) & ((1 << 64) - 1), prefix.prefixlen)
     return (v - 1 for v in cyclic_permutation(n, per_prefix_seed))

@@ -31,6 +31,11 @@ class IcmpKind(Enum):
     DEST_UNREACHABLE = "destination_unreachable"
     TIME_EXCEEDED = "time_exceeded"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and runs in C; Enum's own hashes the name in
+    # Python, and the limiter and observation filters hash a kind per packet.
+    __hash__ = object.__hash__
+
     @property
     def is_error(self) -> bool:
         return self in _ERROR_KINDS

@@ -6,10 +6,14 @@ instead of computing whole-interval refills in closed form; the router
 handler answers one delivered packet at a time without the event loop; the
 per-packet injection routes and draws for every probe on its own instead of
 once per destination and link; the AUC counts ranked pairs instead of
-integrating the ROC curve.
+integrating the ROC curve; primality is trial division by every integer up
+to the square root instead of Miller-Rabin, and prime factors are read off
+the divisor pairs instead of being divided out.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from icmpscope.model import IcmpKind, IcmpObservation, ProbePacket
 from icmpscope.simnet.limiter import LimiterBank
@@ -116,3 +120,26 @@ def mann_whitney_auc(labels: list[bool], scores: list[float]) -> float:
     negatives = [s for s, label in zip(scores, labels) if not label]
     u = sum((p > n) + 0.5 * (p == n) for p in positives for n in negatives)
     return u / (len(positives) * len(negatives))
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by every integer from 2 to the square root."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def next_prime(n: int) -> int:
+    """Smallest prime strictly greater than ``n``."""
+    m = n + 1
+    while not is_prime(m):
+        m += 1
+    return m
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of ``n >= 1``: the prime members of every
+    divisor pair ``(d, n // d)`` with ``d`` up to the square root."""
+    found = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            found.update(c for c in (d, n // d) if is_prime(c))
+    return sorted(found)

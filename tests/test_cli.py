@@ -1,9 +1,13 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import icmpscope
 from icmpscope import cli, fileio
 from icmpscope.cli import main
 from icmpscope.model import IcmpKind
@@ -251,3 +255,11 @@ def test_supplemental_preset_pipeline(tmp_path):
         if verdict == "uncertain":
             continue
         assert verdict == ("deployed" if truth[prefix] else "vulnerable")
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_sympy():
+    src = Path(icmpscope.__file__).resolve().parents[1]
+    code = "import sys, icmpscope.cli; print([m for m in ('numpy', 'sympy') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

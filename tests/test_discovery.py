@@ -1,10 +1,15 @@
 import random
 
 import numpy as np
+import oracles
 import pytest
 
 from icmpscope.discovery import (
     DiscoveryCaps,
+    _is_prime,
+    _next_prime,
+    _prime_factors,
+    _smallest_primitive_root,
     cyclic_permutation,
     cyclic_permutation_blocks,
     extract_pair,
@@ -47,6 +52,38 @@ def test_permutation_blocks_equal_iterator():
     for n, seed in [(1, 9), (2, 0), (17, 4), (8192, 11), (10_001, 777)]:
         flat = np.concatenate(list(cyclic_permutation_blocks(n, seed))).tolist()
         assert flat == list(cyclic_permutation(n, seed))
+
+
+def test_next_prime_and_prime_factors_match_brute_force():
+    rng = random.Random(2024)
+    ns = list(range(20_001)) + [rng.randint(1, 10**7) for _ in range(2000)]
+    for n in ns:
+        assert _next_prime(n) == oracles.next_prime(n), n
+        if n >= 1:
+            assert _prime_factors(n) == oracles.prime_factors(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 41041, 825265,  # Carmichael numbers
+        2047, 3215031751,  # strong pseudoprimes to base 2
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    ],
+)
+def test_pseudoprimes_are_not_reported_prime(n):
+    assert not _is_prime(n)
+    assert _next_prime(n - 1) > n
+
+
+def test_next_prime_near_the_top_of_64_bits():
+    assert _is_prime(2**61 - 1)
+    assert _next_prime(2**64 - 60) == 2**64 - 59  # the largest 64-bit prime
+
+
+@pytest.mark.parametrize("p, root", [(2, 1), (7, 3), (23, 5), (41, 6)])
+def test_smallest_primitive_root_of_known_primes(p, root):
+    assert _smallest_primitive_root(p) == root
 
 
 def test_permutation_rejects_nonpositive_n():
@@ -190,3 +227,23 @@ def test_discovery_requires_prefixes():
     bundle = scenarios.build_discovery_demo(seed=7)
     with pytest.raises(ValueError):
         run_discovery([], DiscoveryCaps(), SimTransport(bundle.cfg), 0)
+
+
+def test_exhausted_prefix_leaves_the_rounds():
+    bundle = scenarios.build_discovery_demo(seed=7)
+    silent48 = bundle.scan_prefixes[1]
+    tiny = parse_prefix("2001:db8:ffff:10::/63")  # a target space of two
+    result = run_discovery(
+        [tiny, silent48], DiscoveryCaps(pair_cap=5, probe_cap=10), SimTransport(bundle.cfg), seed=3
+    )
+    assert result.states[tiny].sent == 2 and result.states[tiny].done
+    assert result.states[silent48].sent == 10 and result.states[silent48].done
+    assert not result.aborted and result.pairs == {tiny: [], silent48: []}
+
+    assert len(result.rounds) == 10
+    both, alone = result.rounds[0][1], result.rounds[2][1]
+    assert sorted(both) == sorted([tiny, silent48]) and alone == (silent48,)
+    assert result.rounds[1][1] is both
+    assert all(probed is alone for _base, probed in result.rounds[2:])
+    third_round = result.rounds[2][0]
+    assert [t for t, prefix in result.schedule if prefix == tiny and t >= third_round] == []

@@ -107,3 +107,10 @@ def test_observation_error_requires_quote():
 def test_measurement_params_validation(kwargs):
     with pytest.raises(ValueError):
         MeasurementParams(**kwargs)
+
+
+def test_icmp_kind_hashes_by_identity():
+    assert len(list(IcmpKind)) == 4
+    for kind in IcmpKind:
+        assert hash(kind) == object.__hash__(kind)
+        assert IcmpKind(kind.value) is kind
