@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from icmpscope._mix import mix64
 from icmpscope._spans import SpanTable
-from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation, ProbePacket
+from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan, TransportError
 
 if TYPE_CHECKING:
@@ -181,9 +181,9 @@ def cyclic_permutation_blocks(n: int, seed: int = 0, block: int = 8192) -> Itera
         cur = cur * step % p
 
 
-def generate_targets(prefix: IPv6Network, index: int, seed: int) -> IPv6Address:
-    """Deterministic probe target: subnet bits carry ``index``, interface
-    identifier bits are hashed from (seed, prefix, index).
+def generate_targets(prefix: IPv6Network, index: int, seed: int) -> int:
+    """Deterministic probe target, as an int: subnet bits carry ``index``,
+    interface identifier bits are hashed from (seed, prefix, index).
 
     For prefixes longer than /64 there are no subnet bits to rotate, so the
     index only keys the randomization of the remaining host bits.
@@ -195,25 +195,26 @@ def generate_targets(prefix: IPv6Network, index: int, seed: int) -> IPv6Address:
         space = 1 << (64 - plen)
         if not 0 <= index < space:
             raise ValueError(f"index {index} out of range for /{plen}")
-        return IPv6Address(base | (index << 64) | digest)
+        return base | (index << 64) | digest
     host_bits = 128 - plen
     if index < 0:
         raise ValueError("index must be >= 0")
-    return IPv6Address(base | (digest & ((1 << host_bits) - 1)))
+    return base | (digest & ((1 << host_bits) - 1))
 
 
-def extract_pair(obs: IcmpObservation) -> DataPair:
-    """Pull the <target, periphery> pair out of one ICMP error message."""
+def extract_pair(obs: IcmpObservation, peripheries: dict[int, IPv6Address]) -> DataPair:
+    """The <target, periphery> pair in one ICMP error message.
+
+    ``peripheries`` maps each answering router's int address to the one
+    ``IPv6Address`` that all of its pairs share; it gains an entry the first
+    time a router answers. Error observations always quote a target.
+    """
     if not obs.kind.is_error:
         raise ValueError(f"not an ICMP error observation: {obs.kind}")
-    if obs.quoted_dst is None:
-        raise ValueError("error observation lacks the quoted destination")
-    return DataPair(
-        target=obs.quoted_dst,
-        periphery=obs.origin,
-        error_kind=obs.kind,
-        discovered_at=obs.received_at,
-    )
+    periphery = peripheries.get(obs.origin)
+    if periphery is None:
+        periphery = peripheries[obs.origin] = IPv6Address(obs.origin)
+    return DataPair(IPv6Address(obs.quoted_dst), periphery, obs.kind, obs.received_at)
 
 
 @dataclass
@@ -259,7 +260,8 @@ def run_discovery(
     live = [slots[prefixes[i - 1]] for i in cyclic_permutation(len(prefixes), seed)]
     # Sorted spans for assigning returned pairs to their prefix's slot.
     spans = SpanTable((int(p[0]), int(p[-1]), slots[p]) for p in prefixes)
-    src = transport.source_address
+    src = int(transport.source_address)
+    peripheries: dict[int, IPv6Address] = {}  # one address object per answering router
     pair_cap, probe_cap = caps.pair_cap, caps.probe_cap
     next_pid = 1
     rounds: list[tuple[int, tuple[IPv6Network, ...]]] = []
@@ -268,26 +270,26 @@ def run_discovery(
     while True:
         base = transport.now()
         first_pid = next_pid
-        packets: list[ProbePacket] = []
+        rows: list[tuple[int, int, int, int]] = []
         probed: list[IPv6Network] = []
         for st, indices, _seen in live:
             index = next(indices, None)
             if index is None:
                 st.done = True  # target space exhausted before any cap
                 continue
-            dst = generate_targets(st.prefix, index, seed)
-            packets.append(ProbePacket(src=src, dst=dst, probe_id=next_pid))
+            # 1 ms slots
+            rows.append((len(rows), src, generate_targets(st.prefix, index, seed), next_pid))
             next_pid += 1
             probed.append(st.prefix)
             st.sent += 1
-        if not packets:
+        if not rows:
             break
         this_round = tuple(probed)
         if rounds and rounds[-1][1] == this_round:
             this_round = rounds[-1][1]  # keep one copy of an unchanged order
         rounds.append((base, this_round))
 
-        plan = SendPlan(tuple(enumerate(packets)))  # 1 ms slots
+        plan = SendPlan(tuple(rows))
         window = CollectWindow(
             duration_ms=plan.span_ms + RESPONSE_WINDOW_MS,
             obs_filter=ObservationFilter(
@@ -301,16 +303,15 @@ def run_discovery(
             break
 
         for obs in observations:
-            pair = extract_pair(obs)
-            slot = spans.find(int(pair.target))
+            slot = spans.find(obs.quoted_dst)
             if slot is None:
                 continue
             st, _indices, seen = slot
-            key = (pair.target, pair.periphery)
+            key = (obs.quoted_dst, obs.origin)
             if st.done or key in seen or len(st.pairs_found) >= pair_cap:
                 continue
             seen.add(key)
-            st.pairs_found.append(pair)
+            st.pairs_found.append(extract_pair(obs, peripheries))
 
         still_live = []
         for slot in live:

@@ -5,6 +5,12 @@ already guarantees the canonical lowercase, zero-compressed text form we
 persist, and ``IPv6Network`` enforces that no host bits are set below the
 prefix length. Timestamps are integer milliseconds on whatever clock the
 transport provides (simulated or wall). All types here are immutable values.
+
+Between the engines and the simulator, addresses travel as plain ints: a
+send plan's packets are ``(offset, src, dst, probe_id)`` rows (see
+:class:`icmpscope.transport.SendPlan`), and an observation's ``origin`` and
+``quoted_dst`` are ints. An ``IPv6Address`` is made only where a record
+leaves the engines, such as the :class:`DataPair` that discovery keeps.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
-
-DEFAULT_HOP_LIMIT = 64
 
 # Spoofed sources share these prefix lengths with the real addresses: the
 # local spoof must stay routable toward our network, the target-side spoof
@@ -38,11 +42,10 @@ class IcmpKind(Enum):
 
     @property
     def is_error(self) -> bool:
-        return self in _ERROR_KINDS
+        return self in ERROR_KINDS
 
 
-_ERROR_KINDS = frozenset({IcmpKind.DEST_UNREACHABLE, IcmpKind.TIME_EXCEEDED})
-ERROR_KINDS = _ERROR_KINDS
+ERROR_KINDS = frozenset({IcmpKind.DEST_UNREACHABLE, IcmpKind.TIME_EXCEEDED})
 
 
 def parse_address(text: str) -> IPv6Address:
@@ -71,38 +74,20 @@ class DataPair:
 
 
 @dataclass(frozen=True, slots=True)
-class ProbePacket:
-    """An emitted ICMPv6 echo request; ``src`` may be spoofed.
-
-    ``probe_id`` is a correlation token carried in the echo payload and echoed
-    back in replies and in the quoted portion of error messages, which lets a
-    stateless receiver match responses to its own probes even when sources
-    are spoofed.
-    """
-
-    src: IPv6Address
-    dst: IPv6Address
-    kind: IcmpKind = IcmpKind.ECHO_REQUEST
-    hop_limit: int = DEFAULT_HOP_LIMIT
-    probe_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.hop_limit <= 255:
-            raise ValueError(f"hop_limit out of range: {self.hop_limit}")
-
-
-@dataclass(frozen=True, slots=True)
 class IcmpObservation:
     """One ICMP message received by the local prober.
 
-    ``quoted_dst`` is the destination of the invoking packet and is present
-    exactly for error kinds (error messages quote the packet that triggered
-    them). ``probe_id`` is the echoed correlation token when recoverable.
+    ``origin`` is the sender's address as an int. ``quoted_dst`` is the
+    destination of the invoking packet, also an int, and is present exactly
+    for error kinds (error messages quote the packet that triggered them).
+    ``probe_id`` is the echoed correlation token carried in the probe's
+    payload, which lets a stateless receiver match responses to its own
+    probes even when sources are spoofed.
     """
 
     kind: IcmpKind
-    origin: IPv6Address
-    quoted_dst: IPv6Address | None = None
+    origin: int
+    quoted_dst: int | None = None
     received_at: int = 0
     probe_id: int | None = None
 

@@ -8,7 +8,6 @@ distinguishes global, strict, loose, and unclassifiable rate limiting.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import weakref
@@ -16,8 +15,7 @@ from dataclasses import dataclass
 from ipaddress import IPv6Address
 from typing import Callable, Collection, Iterator, Sequence, TypeVar
 
-from icmpscope.model import DataPair, IcmpKind, IcmpObservation, MeasurementParams
-from icmpscope.model import ProbePacket, spoof_sources
+from icmpscope.model import DataPair, IcmpKind, IcmpObservation, MeasurementParams, spoof_sources
 from icmpscope.simnet.config import RateLimitClass
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan
 
@@ -169,25 +167,23 @@ def measure_rcv(
     """
     m = noise.m if noise is not None else 0
     spacing = _burst_spacing(transport, n + m)
-    pids = itertools.count(1)
+    src = int(transport.source_address)
+    spoof = int(noise.spoof_src) if noise is not None else None
+    dst = int(rvp_target)
     probe_ids: set[int] = set()
-    entries: list[tuple[int, ProbePacket]] = []
+    rows: list[tuple[int, int, int, int]] = []
     for slot, is_probe in enumerate(interleave_pattern(n, m)):
-        pid = next(pids)
         if is_probe:
-            src = transport.source_address
-            probe_ids.add(pid)
-        else:
-            src = noise.spoof_src  # type: ignore[union-attr]
-        entries.append((slot * spacing, ProbePacket(src=src, dst=rvp_target, probe_id=pid)))
+            probe_ids.add(slot + 1)
+        rows.append((slot * spacing, src if is_probe else spoof, dst, slot + 1))
 
-    plan = SendPlan(tuple(entries))
+    plan = SendPlan(tuple(rows))
     window = CollectWindow(
         duration_ms=plan.span_ms + receive_window_ms,
         obs_filter=ObservationFilter(
             kinds=frozenset({kind}),
-            origin=expect_origin,
-            quoted_dst=rvp_target if kind.is_error else None,
+            origin=int(expect_origin) if expect_origin is not None else None,
+            quoted_dst=dst if kind.is_error else None,
             probe_ids=frozenset(probe_ids),
         ),
     )

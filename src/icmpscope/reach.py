@@ -11,7 +11,6 @@ the prober to each side.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -19,12 +18,7 @@ from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
 from typing import Callable, Mapping, Sequence
 
-from icmpscope.model import (
-    DataPair,
-    IcmpKind,
-    MeasurementParams,
-    ProbePacket,
-)
+from icmpscope.model import DataPair, IcmpKind, MeasurementParams
 from icmpscope.ratelimit import MeasureTarget, RcvSample, pacer_for
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan
 
@@ -173,7 +167,7 @@ def run_reach_protocol(
     together, all 1 ms apart. rcv2 counts only errors quoting X that answer
     the second probe train. Both bursts keep the vantage point's quiet gap.
     """
-    x = rvp.target
+    x = int(rvp.target)
     pacer = pacer_for(transport)
     if baseline is None:
         mt = MeasureTarget.from_pair(rvp)
@@ -185,32 +179,21 @@ def run_reach_protocol(
     dt = round(delta_t(rtt_a_ms, rtt_b_ms, est.sample_ms))
     spoof_start = max(0, -dt)
     probe_start = max(0, dt) + probe_late_margin_ms
-    pids = itertools.count(1)
-    entries: list[tuple[int, ProbePacket]] = []
-    for i in range(params.m_noise):
-        entries.append(
-            (spoof_start + i, ProbePacket(src=x, dst=target_b, probe_id=next(pids)))
-        )
-    probe_ids: set[int] = set()
-    for j in range(params.n_probe):
-        pid = next(pids)
-        probe_ids.add(pid)
-        entries.append(
-            (
-                probe_start + j,
-                ProbePacket(src=transport.source_address, dst=x, probe_id=pid),
-            )
-        )
-    entries.sort(key=lambda e: e[0])
+    # Noise takes probe ids 1..m and probes m+1..m+n; a stable sort on the
+    # offset merges the two trains.
+    b, src, m, n = int(target_b), int(transport.source_address), params.m_noise, params.n_probe
+    rows = [(spoof_start + i, x, b, i + 1) for i in range(m)]
+    rows += [(probe_start + j, src, x, m + 1 + j) for j in range(n)]
+    rows.sort(key=lambda row: row[0])
 
-    plan = SendPlan(tuple(entries))
+    plan = SendPlan(tuple(rows))
     window = CollectWindow(
         duration_ms=plan.span_ms + params.receive_window_ms,
         obs_filter=ObservationFilter(
             kinds=frozenset({rvp.error_kind}),
-            origin=rvp.periphery,
+            origin=int(rvp.periphery),
             quoted_dst=x,
-            probe_ids=frozenset(probe_ids),
+            probe_ids=frozenset(range(m + 1, m + n + 1)),
         ),
     )
     observations = pacer.execute(rvp.periphery, plan, window)
@@ -350,18 +333,14 @@ def _ping_rtt(transport, addr: IPv6Address, window_ms: int, count: int = 3) -> f
     burst too early.
     """
     gap = 50
+    src, dst = int(transport.source_address), int(addr)
     sent = {i + 1: i * gap for i in range(count)}
-    plan = SendPlan(
-        tuple(
-            (off, ProbePacket(src=transport.source_address, dst=addr, probe_id=pid))
-            for pid, off in sent.items()
-        )
-    )
+    plan = SendPlan(tuple((off, src, dst, pid) for pid, off in sent.items()))
     window = CollectWindow(
         duration_ms=(count - 1) * gap + window_ms,
         obs_filter=ObservationFilter(
             kinds=frozenset({IcmpKind.ECHO_REPLY}),
-            origin=addr,
+            origin=dst,
             probe_ids=frozenset(sent),
         ),
     )

@@ -16,7 +16,7 @@ from icmpscope.simnet.config import (
     oracle_rl_class,
 )
 from icmpscope.simnet.limiter import LimiterBank, TokenBucketState, bucket_try_consume
-from icmpscope.simnet.world import SimWorld, run_events
+from icmpscope.simnet.world import SimWorld
 
 __all__ = [
     "LimiterBank",
@@ -36,5 +36,4 @@ __all__ = [
     "oracle_isav",
     "oracle_reachable",
     "oracle_rl_class",
-    "run_events",
 ]

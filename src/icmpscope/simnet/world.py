@@ -17,11 +17,14 @@ routing step (cut check, site, link). The world keeps no per-packet log:
 ``_uid`` counts packets sent and ``_seq`` counts those that were scheduled
 for arrival.
 
-The prober's probes enter a whole plan in one ``inject`` call, taken in
-slices of up to ``_INJECT_SLICE`` packets: within a slice each destination is
-routed once and each link draws its loss and jitter in one ``mix_units``
-pass, yet every packet keeps the uid, the draws and the heap entry that one
-``_send`` per packet would give it.
+Addresses are ints throughout. The prober's probes enter a whole plan in
+one ``inject`` call, as ``(offset, src, dst, probe_id)`` rows of echo
+requests, taken in slices of up to ``_INJECT_SLICE`` packets: within a slice
+each destination is routed once and each link draws its loss and jitter in
+one ``mix_units`` pass, yet every packet keeps the uid, the draws and the
+heap entry that one ``_send`` per packet would give it. Observations carry
+the int ``origin`` and ``quoted_dst`` as the packets did, so the world builds
+no address object.
 
 Second-order traffic matters here: an echo reply that lands on a router whose
 served prefix contains an unreachable destination consumes that router's
@@ -34,13 +37,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from heapq import heappop, heappush
-from ipaddress import IPv6Address
 
 from icmpscope._mix import mix_unit as _mix_unit
 from icmpscope._mix import mix_units as _mix_units
 from icmpscope._spans import SpanTable, merge_spans
-from icmpscope.model import IcmpKind, IcmpObservation, ProbePacket
-from icmpscope.simnet.config import SimConfig, SimConfigError
+from icmpscope.model import IcmpKind, IcmpObservation
+from icmpscope.simnet.config import SimConfig
 from icmpscope.simnet.limiter import LimiterBank
 
 
@@ -68,11 +70,14 @@ class _RouterRec:
 
 
 class SimWorld:
-    """Mutable simulation state: event heap, limiter banks, prober inbox."""
+    """Mutable simulation state: event heap, limiter banks, prober inbox.
+
+    It keeps only the int tables it derives from the config, not the config
+    itself, so the config's address objects can be freed once it is built.
+    """
 
     def __init__(self, cfg: SimConfig) -> None:
         cfg.validate()
-        self.cfg = cfg
         self._seed = cfg.seed
         self._prober = int(cfg.prober)
         self._heap: list[tuple] = []
@@ -116,8 +121,6 @@ class SimWorld:
             for dst, spans in cut_spans.items()
         }
 
-        self._addr_cache: dict[int, IPv6Address] = {}
-
     # -- address/site resolution ----------------------------------------
 
     def _site_of(self, addr: int) -> int | None:
@@ -130,61 +133,44 @@ class SimWorld:
             return h[1]
         return self._prefix_site(addr)
 
-    def _addr(self, value: int) -> IPv6Address:
-        cached = self._addr_cache.get(value)
-        if cached is None:
-            cached = IPv6Address(value)
-            self._addr_cache[value] = cached
-        return cached
-
     # -- event machinery -------------------------------------------------
 
-    def inject(self, base: int, packets: Sequence[tuple[int, ProbePacket]]) -> None:
-        """Emit a plan's probes from the local prober, each at ``base + offset``.
+    def inject(self, base: int, packets: Sequence[tuple[int, int, int, int]]) -> None:
+        """Emit a plan's echo requests, ``(offset, src, dst, probe_id)`` rows,
+        from the local prober, each at ``base + offset``.
 
         Same draws and heap entries as one ``_send`` per packet in plan order:
         every packet takes the next uid, routed or not, and survivors take the
-        next ``_seq``. A plan holding anything but echo requests is rejected
-        before any packet is sent. The plan goes in ``_INJECT_SLICE`` packets
-        at a time.
+        next ``_seq``. The plan goes in ``_INJECT_SLICE`` packets at a time.
         """
-        for _offset, pkt in packets:
-            if pkt.kind is not IcmpKind.ECHO_REQUEST:
-                raise ValueError("the prober injects only echo requests")
         for start in range(0, len(packets), _INJECT_SLICE):
             self._inject_slice(base, packets[start:start + _INJECT_SLICE])
 
-    def _inject_slice(self, base: int, packets: Sequence[tuple[int, ProbePacket]]) -> None:
+    def _inject_slice(self, base: int, packets: Sequence[tuple[int, int, int, int]]) -> None:
         """``inject`` for at most ``_INJECT_SLICE`` packets. The sender is
-        always the prober, so each destination address is converted and routed
-        once, and each link draws loss, then jitter for the survivors, in one
-        ``mix_units`` call over its uids."""
+        always the prober, so each destination is routed once, and each link
+        draws loss, then jitter for the survivors, in one ``mix_units`` call
+        over its uids."""
         prober = self._prober
         uid0 = self._uid
-        # id(dst address) -> (dst, site, uids on its link), or (dst, None, None)
-        # when unrouted; the plan keeps its addresses alive, so ids are stable.
-        targets: dict[int, tuple[int, int | None, list[int] | None]] = {}
+        # dst -> (site, uids on its link), or (None, None) when unrouted.
+        routes: dict[int, tuple[int | None, list[int] | None]] = {}
         by_link: dict[tuple | None, list[int]] = {}  # None: delivered inside the prober's site
-        rows = []
-        for i, (_offset, pkt) in enumerate(packets):
-            key = id(pkt.dst)
-            target = targets.get(key)
-            if target is None:
-                dst = int(pkt.dst)
-                route = self._route(dst, prober, prober)
-                if route is None:
-                    target = (dst, None, None)
-                else:
-                    target = (dst, route[0], by_link.setdefault(route[1], []))
-                targets[key] = target
-            rows.append(target)
-            uids = target[2]
+        sites = []
+        for i, (_offset, _src, dst, _pid) in enumerate(packets):
+            route = routes.get(dst)
+            if route is None:
+                found = self._route(dst, prober, prober)
+                route = (None, None) if found is None else (found[0], by_link.setdefault(found[1], []))
+                routes[dst] = route
+            sites.append(route[0])
+            uids = route[1]
             if uids is not None:
                 uids.append(uid0 + i)
-        self._uid = uid0 + len(rows)
+        self._uid = uid0 + len(sites)
 
         seed = self._seed
-        delays: list[int | None] = [None] * len(rows)
+        delays: list[int | None] = [None] * len(sites)
         for link, uids in by_link.items():
             if link is None:
                 for uid in uids:
@@ -204,18 +190,11 @@ class SimWorld:
         heap = self._heap
         seq = self._seq
         kind = IcmpKind.ECHO_REQUEST
-        srcs: dict[int, int] = {}  # id(src address) -> int
-        for (offset, pkt), (dst, site, _uids), delay in zip(packets, rows, delays):
+        for (offset, src, dst, pid), site, delay in zip(packets, sites, delays):
             if delay is None:
                 continue
-            key = id(pkt.src)
-            src = srcs.get(key)
-            if src is None:
-                src = srcs[key] = int(pkt.src)
             seq += 1
-            heappush(
-                heap, (base + offset + delay, seq, site, prober, kind, src, dst, None, pkt.probe_id)
-            )
+            heappush(heap, (base + offset + delay, seq, site, prober, kind, src, dst, None, pid))
         self._seq = seq
 
     def _route(self, dst: int, from_site: int, sender: int) -> tuple[int, tuple | None] | None:
@@ -299,15 +278,7 @@ class SimWorld:
     ) -> None:
         if to_site == self._prober:
             if dst == self._prober:
-                self.observations.append(
-                    IcmpObservation(
-                        kind=kind,
-                        origin=self._addr(src),
-                        quoted_dst=self._addr(quoted) if quoted is not None else None,
-                        received_at=t,
-                        probe_id=pid,
-                    )
-                )
+                self.observations.append(IcmpObservation(kind, src, quoted, t, pid))
             return
 
         rec = self._router_by_addr[to_site]
@@ -348,18 +319,3 @@ class SimWorld:
         out = self.observations
         self.observations = []
         return out
-
-
-def run_events(cfg: SimConfig, injected: list[tuple[int, ProbePacket]]) -> list[IcmpObservation]:
-    """One-shot simulation: inject the timed packets, run to quiescence, and
-    return every ICMP message the prober observed, in arrival order.
-    """
-    last = None
-    for t_ms, _pkt in injected:
-        if last is not None and t_ms < last:
-            raise SimConfigError("injected timestamps must be non-decreasing")
-        last = t_ms
-    world = SimWorld(cfg)
-    world.inject(0, injected)
-    world.run_all()
-    return world.observations

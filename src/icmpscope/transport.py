@@ -1,8 +1,13 @@
 """Send/receive layer between measurement engines and the packet substrate.
 
-Engines describe what to send as a :class:`SendPlan` (offsets from plan
-start) and what to keep as a :class:`CollectWindow`; ``execute`` is blocking
-and one transport instance serves one engine at a time.
+Engines describe what to send as a :class:`SendPlan` and what to keep as a
+:class:`CollectWindow`; ``execute`` is blocking and one transport instance
+serves one engine at a time. A plan's packets are plain int rows
+``(offset, src, dst, probe_id)``: every packet is an ICMPv6 echo request,
+``offset`` is milliseconds from plan start, ``src`` (possibly spoofed) and
+``dst`` are addresses as ints, and ``probe_id`` is the correlation token that
+replies and quoted errors echo back. Observations name addresses as ints
+too, so filters compare ints.
 
 The simulated backend is the real implementation. The raw-network backend is
 kept as a contract stub: it validates the same way but refuses to run, since
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 
-from icmpscope.model import IcmpKind, IcmpObservation, ProbePacket
+from icmpscope.model import IcmpKind, IcmpObservation
 from icmpscope.simnet.config import SimConfig
 from icmpscope.simnet.world import SimWorld
 
@@ -29,18 +34,16 @@ class TransportError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class SendPlan:
-    """Ordered packets with millisecond offsets from plan start."""
+    """Echo requests as ``(offset, src, dst, probe_id)`` rows, in send order."""
 
-    packets: tuple[tuple[int, ProbePacket], ...]
+    packets: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
         last = 0
-        for offset, pkt in self.packets:
+        for offset, _src, _dst, _pid in self.packets:
             if offset < last:
                 raise TransportError("plan offsets must be non-decreasing")
             last = offset
-            if pkt.kind is not IcmpKind.ECHO_REQUEST:
-                raise TransportError("plans may only emit echo requests")
 
     @property
     def span_ms(self) -> int:
@@ -49,11 +52,12 @@ class SendPlan:
 
 @dataclass(frozen=True, slots=True)
 class ObservationFilter:
-    """Predicate over observations: any criterion left as None is ignored."""
+    """Predicate over observations: any criterion left as None is ignored.
+    ``origin`` and ``quoted_dst`` are addresses as ints."""
 
     kinds: frozenset[IcmpKind] | None = None
-    origin: IPv6Address | None = None
-    quoted_dst: IPv6Address | None = None
+    origin: int | None = None
+    quoted_dst: int | None = None
     probe_ids: frozenset[int] | None = None
 
     def matches(self, obs: IcmpObservation) -> bool:
@@ -90,8 +94,8 @@ def _check_rate_cap(plan: SendPlan, max_pps: int, prefix_len: int) -> None:
         return  # no prefix can hold more than max_pps packets
     shift = 128 - prefix_len
     per_prefix: dict[int, list[int]] = {}
-    for offset, pkt in plan.packets:
-        per_prefix.setdefault(int(pkt.dst) >> shift, []).append(offset)
+    for offset, _src, dst, _pid in plan.packets:
+        per_prefix.setdefault(dst >> shift, []).append(offset)
     for times in per_prefix.values():
         for i in range(max_pps, len(times)):
             if times[i] - times[i - max_pps] < 1000:
@@ -116,13 +120,14 @@ class SimTransport:
         pacing_prefix_len: int = DEFAULT_PACING_PREFIX_LEN,
     ) -> None:
         self.world = SimWorld(cfg)
+        self._source = cfg.prober
         self.max_pps_per_prefix = max_pps_per_prefix
         self.pacing_prefix_len = pacing_prefix_len
         self._now = 0
 
     @property
     def source_address(self) -> IPv6Address:
-        return self.world.cfg.prober
+        return self._source
 
     def now(self) -> int:
         return self._now
@@ -196,8 +201,9 @@ class RawTransport:
     def execute(self, plan: SendPlan, window: CollectWindow) -> list[IcmpObservation]:
         _check_rate_cap(plan, self.max_pps_per_prefix, self.pacing_prefix_len)
         if not self.allow_spoofing:
-            for _offset, pkt in plan.packets:
-                if pkt.src != self._source:
+            source = int(self._source)
+            for _offset, src, _dst, _pid in plan.packets:
+                if src != source:
                     raise TransportError(
                         "spoofed sources are disabled; construct with allow_spoofing=True"
                     )

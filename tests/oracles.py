@@ -5,18 +5,22 @@ the token-bucket replay walks the placement schedule one token at a time
 instead of computing whole-interval refills in closed form; the router
 handler answers one delivered packet at a time without the event loop; the
 per-packet injection routes and draws for every probe on its own instead of
-once per destination and link; the AUC counts ranked pairs instead of
-integrating the ROC curve; primality is trial division by every integer up
+once per destination and link; the one-shot simulation checks the plan's
+timestamps itself and runs the world to quiescence; the AUC counts ranked
+pairs instead of integrating the ROC curve; primality is trial division by every integer up
 to the square root instead of Miller-Rabin, and prime factors are read off
 the divisor pairs instead of being divided out.
 """
 
 from __future__ import annotations
 
+from ipaddress import IPv6Address
 from math import isqrt
 
-from icmpscope.model import IcmpKind, IcmpObservation, ProbePacket
+from icmpscope.model import IcmpKind, IcmpObservation
+from icmpscope.simnet.config import SimConfig, SimConfigError
 from icmpscope.simnet.limiter import LimiterBank
+from icmpscope.simnet.world import SimWorld
 
 
 def replay_token_bucket(
@@ -66,7 +70,7 @@ def burst_probe_grants(
 
 def router_handle(
     router,
-    pkt: ProbePacket,
+    row: tuple[int, int, int, int],
     now: int,
     *,
     bank: LimiterBank | None = None,
@@ -74,43 +78,55 @@ def router_handle(
     silent_hosts: frozenset = frozenset(),
     from_outside: bool = True,
 ) -> IcmpObservation | None:
-    """Reference handler for one echo request delivered to one router.
+    """Reference handler for one echo request, an ``(offset, src, dst,
+    probe_id)`` plan row, delivered to one router.
 
-    Returns the ICMP message the router site emits toward ``pkt.src`` (as the
-    sender would observe it), or None when ingress filtering, a silent host,
-    or the rate limiter swallows it. Pass a persistent ``bank`` to carry
-    limiter state across packets; without one every call sees a fresh budget.
-    The full event loop reproduces these semantics packet for packet.
+    Returns the ICMP message the router site emits toward the row's source
+    (as the sender would observe it), or None when ingress filtering, a
+    silent host, or the rate limiter swallows it. Pass a persistent ``bank``
+    to carry limiter state across packets; without one every call sees a
+    fresh budget. The full event loop reproduces these semantics packet for
+    packet.
     """
-    if pkt.kind is not IcmpKind.ECHO_REQUEST:
-        raise ValueError("router_handle models delivered echo requests")
     if bank is None:
         bank = LimiterBank(router.limiter)
-    src = int(pkt.src)
-    if router.isav_ingress and from_outside and pkt.src in router.served_prefix:
+    _offset, src, dst_int, pid = row
+    dst = IPv6Address(dst_int)
+    if router.isav_ingress and from_outside and IPv6Address(src) in router.served_prefix:
         return None
-    if pkt.dst == router.address:
+    if dst == router.address:
         if router.echo_responder and bank.try_emit(IcmpKind.ECHO_REPLY, src, now):
-            return IcmpObservation(IcmpKind.ECHO_REPLY, router.address, None, now, pkt.probe_id)
+            return IcmpObservation(IcmpKind.ECHO_REPLY, dst_int, None, now, pid)
         return None
-    if pkt.dst in live_hosts:
-        return IcmpObservation(IcmpKind.ECHO_REPLY, pkt.dst, None, now, pkt.probe_id)
-    if pkt.dst in silent_hosts:
+    if dst in live_hosts:
+        return IcmpObservation(IcmpKind.ECHO_REPLY, dst_int, None, now, pid)
+    if dst in silent_hosts:
         return None
-    if pkt.dst in router.served_prefix:
+    if dst in router.served_prefix:
         if bank.try_emit(router.error_kind, src, now):
-            return IcmpObservation(router.error_kind, router.address, pkt.dst, now, pkt.probe_id)
+            return IcmpObservation(router.error_kind, int(router.address), dst_int, now, pid)
     return None
 
 
-def inject_each(world, base: int, packets) -> None:
+def inject_each(world, base: int, rows) -> None:
     """Per-packet reference for ``SimWorld.inject``: one ``_send`` per probe,
     in plan order, each routed and drawn on its own."""
     prober = world._prober
-    for offset, pkt in packets:
-        world._send(
-            base + offset, IcmpKind.ECHO_REQUEST, int(pkt.src), int(pkt.dst), None, pkt.probe_id, prober, prober
-        )
+    for offset, src, dst, pid in rows:
+        world._send(base + offset, IcmpKind.ECHO_REQUEST, src, dst, None, pid, prober, prober)
+
+
+def run_events(cfg: SimConfig, rows: list[tuple[int, int, int, int]]) -> list[IcmpObservation]:
+    """One-shot simulation: inject the ``(time, src, dst, probe_id)`` rows,
+    run to quiescence, and return every ICMP message the prober observed, in
+    arrival order."""
+    times = [row[0] for row in rows]
+    if times != sorted(times):
+        raise SimConfigError("injected timestamps must be non-decreasing")
+    world = SimWorld(cfg)
+    world.inject(0, rows)
+    world.run_all()
+    return world.observations
 
 
 def mann_whitney_auc(labels: list[bool], scores: list[float]) -> float:

@@ -263,3 +263,20 @@ def test_importing_the_cli_loads_neither_numpy_nor_sympy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_simulate_and_discover_run_where_numpy_cannot_be_imported(tmp_path):
+    """numpy is a test extra, not a runtime dependency: the first quick-start
+    steps run with every ``import numpy`` failing."""
+    src = Path(icmpscope.__file__).resolve().parents[1]
+    out = tmp_path / "demo"
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from icmpscope.cli import main\n"
+        f"assert main(['simulate', '--preset', 'demo', '--seed', '4', '--out', {str(out)!r}]) == 0\n"
+        f"assert main(['discover', '--config', {str(out / 'campaign.json')!r}, '--probe-cap', '100']) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert fileio.read_pairs(out / "discovered_pairs.jsonl")

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from ipaddress import IPv6Address
 
 import numpy as np
 import oracles
@@ -94,10 +96,10 @@ def test_permutation_rejects_nonpositive_n():
 def test_generate_targets_subnet_rotation():
     prefix = parse_prefix("2000:1234::/40")
     first = generate_targets(prefix, 0, seed=9)
-    assert int(first) >> 64 == int(parse_address("2000:1234::")) >> 64
+    assert first >> 64 == int(parse_address("2000:1234::")) >> 64
     last = generate_targets(prefix, (1 << 24) - 1, seed=9)
-    assert int(last) >> 64 == int(parse_address("2000:1234:ff:ffff::")) >> 64
-    assert first in prefix and last in prefix
+    assert last >> 64 == int(parse_address("2000:1234:ff:ffff::")) >> 64
+    assert IPv6Address(first) in prefix and IPv6Address(last) in prefix
 
 
 def test_generate_targets_deterministic_iid():
@@ -117,22 +119,26 @@ def test_generate_targets_long_prefix_randomizes_host_bits():
     a = generate_targets(prefix, 0, seed=1)
     b = generate_targets(prefix, 1, seed=1)
     assert a != b
-    assert a in prefix and b in prefix
+    assert IPv6Address(a) in prefix and IPv6Address(b) in prefix
 
 
 def test_extract_pair_field_mapping():
     p = parse_address("2001:db8::1")
     x = parse_address("2001:db8::dead")
-    obs = IcmpObservation(kind=IcmpKind.DEST_UNREACHABLE, origin=p, quoted_dst=x, received_at=5)
-    pair = extract_pair(obs)
+    peripheries = {}
+    obs = IcmpObservation(kind=IcmpKind.DEST_UNREACHABLE, origin=int(p), quoted_dst=int(x), received_at=5)
+    pair = extract_pair(obs, peripheries)
     assert pair.target == x and pair.periphery == p
     assert pair.error_kind is IcmpKind.DEST_UNREACHABLE and pair.discovered_at == 5
+    assert peripheries == {int(p): p}
 
-    te = IcmpObservation(kind=IcmpKind.TIME_EXCEEDED, origin=p, quoted_dst=x)
-    assert extract_pair(te).error_kind is IcmpKind.TIME_EXCEEDED
+    te = IcmpObservation(kind=IcmpKind.TIME_EXCEEDED, origin=int(p), quoted_dst=int(x))
+    te_pair = extract_pair(te, peripheries)
+    assert te_pair.error_kind is IcmpKind.TIME_EXCEEDED
+    assert te_pair.periphery is pair.periphery  # one object per router
 
     with pytest.raises(ValueError):
-        extract_pair(IcmpObservation(kind=IcmpKind.ECHO_REPLY, origin=p))
+        extract_pair(IcmpObservation(kind=IcmpKind.ECHO_REPLY, origin=int(p)), peripheries)
 
 
 def run_demo_discovery(probe_cap=1000, seed=7):
@@ -188,9 +194,46 @@ def test_discovery_probes_follow_the_permuted_target_order():
     it = _target_index_iter(rich, 1000, 7)
     for _ in range(sent):
         expected_indices.append(next(it))
-    expected = {str(generate_targets(rich, i, 7)) for i in expected_indices}
+    expected = {str(IPv6Address(generate_targets(rich, i, 7))) for i in expected_indices}
     probed = {str(pair.target) for pair in result.pairs[rich]}
     assert probed <= expected and len(probed) == 50
+
+
+def world_growth_over_discovery(pair_cap):
+    """Bytes that ``simnet/world.py`` allocates during a scan whose rich
+    prefix quotes ``pair_cap`` distinct targets and still holds after it,
+    with the world alive and the scan's own records dropped."""
+    bundle = scenarios.build_discovery_demo(seed=7)
+    rich, _silent = bundle.scan_prefixes
+    transport = SimTransport(bundle.cfg)
+    caps = DiscoveryCaps(pair_cap=pair_cap, probe_cap=pair_cap)
+    tracemalloc.start()
+    try:
+        found = len(run_discovery([rich], caps, transport, seed=7).pairs[rich])
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert found == pair_cap
+    world_only = snapshot.filter_traces([tracemalloc.Filter(True, "*simnet/world.py")])
+    return sum(stat.size for stat in world_only.statistics("filename"))
+
+
+def test_simulator_memory_does_not_grow_with_quoted_targets():
+    """Four times the distinct quoted targets leave the simulator holding no
+    more memory: it keeps nothing per address it has seen."""
+    one = world_growth_over_discovery(100)
+    four = world_growth_over_discovery(400)
+    assert four - one < 2048, (one, four)
+
+
+def test_pairs_share_one_periphery_object_per_router():
+    bundle = scenarios.build_isav_population(6, seed=3)
+    caps = DiscoveryCaps(pair_cap=20, probe_cap=100)
+    result = run_discovery(list(bundle.pairs), caps, SimTransport(bundle.cfg))
+    pairs = [pair for plist in result.pairs.values() for pair in plist]
+    routers = {pair.periphery for pair in pairs}
+    assert len(routers) > 1 and len(pairs) > len(routers)
+    assert len({id(pair.periphery) for pair in pairs}) == len(routers)
 
 
 class FailingTransport:

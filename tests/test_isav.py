@@ -1,4 +1,4 @@
-from ipaddress import IPv6Network
+from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 
@@ -116,9 +116,9 @@ def sent_bursts(n_prefixes, seed, repeats):
     local_net = IPv6Network((bundle.local_vp, 80), strict=False)
     bursts = []
     for plan in transport.plans:
-        (dst,) = {pkt.dst for _t, pkt in plan.packets}
+        (dst,) = {IPv6Address(dst) for _t, _src, dst, _pid in plan.packets}
         rvp = rvp_of[dst]
-        noise = {pkt.src for _t, pkt in plan.packets} - {transport.source_address}
+        noise = {IPv6Address(src) for _t, src, _dst, _pid in plan.packets} - {transport.source_address}
         if not noise:
             phase = 1
         else:

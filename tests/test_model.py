@@ -7,7 +7,6 @@ from icmpscope.model import (
     IcmpKind,
     IcmpObservation,
     MeasurementParams,
-    ProbePacket,
     parse_address,
     parse_prefix,
     spoof_sources,
@@ -78,19 +77,10 @@ def test_data_pair_requires_error_kind():
         DataPair(parse_address("::1"), parse_address("::2"), error_kind=IcmpKind.ECHO_REPLY)
 
 
-def test_probe_packet_hop_limit_validation():
-    pkt = ProbePacket(src=parse_address("::1"), dst=parse_address("::2"))
-    assert pkt.hop_limit == 64
-    with pytest.raises(ValueError):
-        ProbePacket(src=parse_address("::1"), dst=parse_address("::2"), hop_limit=0)
-    with pytest.raises(ValueError):
-        ProbePacket(src=parse_address("::1"), dst=parse_address("::2"), hop_limit=256)
-
-
 def test_observation_error_requires_quote():
     with pytest.raises(ValueError):
-        IcmpObservation(kind=IcmpKind.DEST_UNREACHABLE, origin=parse_address("::1"))
-    IcmpObservation(kind=IcmpKind.ECHO_REPLY, origin=parse_address("::1"))
+        IcmpObservation(kind=IcmpKind.DEST_UNREACHABLE, origin=1)
+    IcmpObservation(kind=IcmpKind.ECHO_REPLY, origin=1)
 
 
 @pytest.mark.parametrize(

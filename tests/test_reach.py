@@ -238,7 +238,8 @@ def test_campaign_keeps_burst_and_rotation_gaps_per_rvp():
             start = self.now()
             observations = super().execute(plan, window)
             if window.obs_filter.kinds != {IcmpKind.ECHO_REPLY}:
-                reflection = any(pkt.src != self.source_address for _t, pkt in plan.packets)
+                source = int(self.source_address)
+                reflection = any(src != source for _t, src, _dst, _pid in plan.packets)
                 bursts.append((window.obs_filter.origin, reflection, start, self.now()))
             return observations
 

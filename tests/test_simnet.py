@@ -4,9 +4,9 @@ from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 
-from oracles import inject_each, replay_token_bucket, router_handle
+from oracles import inject_each, replay_token_bucket, router_handle, run_events
 
-from icmpscope.model import IcmpKind, ProbePacket, parse_address, parse_prefix
+from icmpscope.model import IcmpKind, parse_address, parse_prefix
 from icmpscope.simnet import (
     LinkModel,
     RateLimitClass,
@@ -23,7 +23,6 @@ from icmpscope.simnet import (
     oracle_isav,
     oracle_reachable,
     oracle_rl_class,
-    run_events,
 )
 from icmpscope.simnet.config import link_key
 from icmpscope.simnet.limiter import LimiterBank, LimiterScope
@@ -57,10 +56,8 @@ def star_config(limiter, *, isav=False, owd=10.0, loss=0.0, jitter=0.0, host_res
 
 
 def burst(dst, n, spacing=1, src=PROBER, start=0, pid_start=1):
-    return [
-        (start + i * spacing, ProbePacket(src=src, dst=dst, probe_id=pid_start + i))
-        for i in range(n)
-    ]
+    """Plan rows ``(offset, src, dst, probe_id)`` for ``n`` evenly spaced probes."""
+    return [(start + i * spacing, int(src), int(dst), pid_start + i) for i in range(n)]
 
 
 # -- token bucket ---------------------------------------------------------
@@ -152,7 +149,7 @@ def test_echo_reply_after_two_one_way_delays():
     obs = run_events(star_config(Unlimited()), burst(HOST, 1))
     assert len(obs) == 1
     assert obs[0].kind is IcmpKind.ECHO_REPLY
-    assert obs[0].origin == HOST
+    assert obs[0].origin == int(HOST)
     assert obs[0].received_at == 20
     assert obs[0].probe_id == 1
 
@@ -163,7 +160,7 @@ def test_unreachable_burst_limited_to_bucket_capacity():
     expected = sum(replay_token_bucket([i for i in range(50)], 10, 100, 0))
     assert len(obs) == expected == 10
     assert all(o.kind is IcmpKind.DEST_UNREACHABLE for o in obs)
-    assert all(o.quoted_dst == DEAD and o.origin == ROUTER for o in obs)
+    assert all(o.quoted_dst == int(DEAD) and o.origin == int(ROUTER) for o in obs)
 
 
 def test_unlimited_router_answers_everything():
@@ -215,8 +212,7 @@ def test_determinism_byte_identical_observation_streams():
 
 def test_injection_timestamps_must_be_non_decreasing():
     cfg = star_config(Unlimited())
-    bad = [(10, ProbePacket(src=PROBER, dst=DEAD, probe_id=1)),
-           (5, ProbePacket(src=PROBER, dst=DEAD, probe_id=2))]
+    bad = burst(DEAD, 1, start=10) + burst(DEAD, 1, start=5, pid_start=2)
     with pytest.raises(SimConfigError):
         run_events(cfg, bad)
 
@@ -362,9 +358,7 @@ def inject_plan(rng, cfg):
     # Up to three slices, so that uids, draws and order carry across slices.
     for pid in range(rng.randint(0, 3 * _INJECT_SLICE)):
         t += rng.choice([0, 0, 1, 3])
-        # Equal addresses as distinct objects, as a caller may build them.
-        dst = IPv6Address(int(rng.choice(chosen)))
-        plan.append((t, ProbePacket(src=rng.choice(srcs), dst=dst, probe_id=pid)))
+        plan.append((t, int(rng.choice(srcs)), int(rng.choice(chosen)), pid))
     return plan
 
 
@@ -388,20 +382,12 @@ def test_inject_matches_per_packet_sends():
         assert batched.observations == each.observations
 
 
-def test_inject_rejects_a_non_echo_plan_whole():
-    world = SimWorld(star_config(Unlimited()))
-    plan = burst(DEAD, 3) + [(3, ProbePacket(src=PROBER, dst=DEAD, kind=IcmpKind.ECHO_REPLY))]
-    with pytest.raises(ValueError, match="only echo requests"):
-        world.inject(0, plan)
-    assert (world._uid, world._seq, world._heap) == (0, 0, [])
-
-
 # -- single-router handler ----------------------------------------------------
 
 
 def test_router_handle_isav_drop():
     router = star_config(TokenBucket(10, 100), isav=True).routers[0]
-    spoofed = ProbePacket(src=parse_address("2001:db8:1::5"), dst=DEAD, probe_id=1)
+    (spoofed,) = burst(DEAD, 1, src=parse_address("2001:db8:1::5"))
     assert router_handle(router, spoofed, 0) is None
     # Internal traffic with the same source is not filtered.
     bank = LimiterBank(router.limiter)
@@ -412,29 +398,20 @@ def test_router_handle_isav_drop():
 def test_router_handle_burst_against_fresh_bucket():
     router = star_config(TokenBucket(10, 100)).routers[0]
     bank = LimiterBank(router.limiter)
-    emitted = [
-        router_handle(router, ProbePacket(src=PROBER, dst=DEAD, probe_id=i), i, bank=bank)
-        for i in range(50)
-    ]
+    emitted = [router_handle(router, row, row[0], bank=bank) for row in burst(DEAD, 50)]
     assert sum(1 for e in emitted if e is not None) == 10
 
 
 def test_router_handle_unlimited_and_hosts():
     router = star_config(Unlimited()).routers[0]
     bank = LimiterBank(router.limiter)
-    emitted = [
-        router_handle(router, ProbePacket(src=PROBER, dst=DEAD, probe_id=i), i, bank=bank)
-        for i in range(50)
-    ]
+    emitted = [router_handle(router, row, row[0], bank=bank) for row in burst(DEAD, 50)]
     assert all(e is not None for e in emitted)
 
-    live = router_handle(
-        router, ProbePacket(src=PROBER, dst=HOST, probe_id=1), 0, live_hosts=frozenset({HOST})
-    )
-    assert live.kind is IcmpKind.ECHO_REPLY and live.origin == HOST
-    silent = router_handle(
-        router, ProbePacket(src=PROBER, dst=HOST, probe_id=1), 0, silent_hosts=frozenset({HOST})
-    )
+    (ping,) = burst(HOST, 1)
+    live = router_handle(router, ping, 0, live_hosts=frozenset({HOST}))
+    assert live.kind is IcmpKind.ECHO_REPLY and live.origin == int(HOST)
+    silent = router_handle(router, ping, 0, silent_hosts=frozenset({HOST}))
     assert silent is None
 
 
@@ -449,10 +426,7 @@ def test_router_handle_matches_event_loop():
     bank = LimiterBank(router.limiter)
     # The event loop sees arrivals one link delay after emission.
     owd = 10
-    direct = [
-        router_handle(router, pkt, t + owd, bank=bank)
-        for t, pkt in injected
-    ]
+    direct = [router_handle(router, row, row[0] + owd, bank=bank) for row in injected]
     direct_ids = [e.probe_id for e in direct if e is not None]
     assert [o.probe_id for o in looped] == direct_ids
 

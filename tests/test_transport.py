@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
-from oracles import replay_token_bucket
+from oracles import replay_token_bucket, run_events
 
-from icmpscope.model import IcmpKind, ProbePacket, parse_address
+from icmpscope.model import IcmpKind, parse_address
 from icmpscope.ratelimit import measure_rcv
-from icmpscope.simnet import TokenBucket, Unlimited, run_events
+from icmpscope.simnet import TokenBucket, Unlimited
 from icmpscope.transport import (
     CollectWindow,
     ObservationFilter,
@@ -39,10 +42,10 @@ def test_filter_by_quoted_dst_excludes_other_targets():
     tp = make_transport()
     entries = burst(DEAD, 3) + burst(other_dead, 3, start=10, pid_start=50)
     plan = SendPlan(tuple(sorted(entries, key=lambda e: e[0])))
-    flt = ObservationFilter(kinds=frozenset({IcmpKind.DEST_UNREACHABLE}), quoted_dst=DEAD)
+    flt = ObservationFilter(kinds=frozenset({IcmpKind.DEST_UNREACHABLE}), quoted_dst=int(DEAD))
     obs = tp.execute(plan, CollectWindow(duration_ms=1000, obs_filter=flt))
     assert len(obs) == 3
-    assert all(o.quoted_dst == DEAD for o in obs)
+    assert all(o.quoted_dst == int(DEAD) for o in obs)
 
 
 def test_now_is_monotone_and_advances_by_window():
@@ -89,10 +92,7 @@ def test_rate_cap_boundary_within_one_millisecond():
 
 def test_plan_validation():
     with pytest.raises(TransportError):
-        SendPlan(((5, ProbePacket(src=PROBER, dst=DEAD)), (1, ProbePacket(src=PROBER, dst=DEAD))))
-    reply = ProbePacket(src=PROBER, dst=DEAD, kind=IcmpKind.ECHO_REPLY)
-    with pytest.raises(TransportError):
-        SendPlan(((0, reply),))
+        SendPlan(tuple(burst(DEAD, 1, start=5) + burst(DEAD, 1, start=1)))
 
 
 def test_engine_counts_match_direct_simulation():
@@ -105,7 +105,7 @@ def test_engine_counts_match_direct_simulation():
     direct = run_events(star_config(TokenBucket(10, 100)), burst(DEAD, 50))
     matching = [
         o for o in direct
-        if o.kind is IcmpKind.DEST_UNREACHABLE and o.origin == ROUTER and o.quoted_dst == DEAD
+        if o.kind is IcmpKind.DEST_UNREACHABLE and o.origin == int(ROUTER) and o.quoted_dst == int(DEAD)
     ]
     assert sample.rcv == len(matching)
 
@@ -123,9 +123,22 @@ def test_stragglers_do_not_leak_between_windows():
 
 def test_raw_transport_is_a_guarded_stub():
     raw = RawTransport("eth0", PROBER)
-    spoofed = SendPlan(((0, ProbePacket(src=DEAD, dst=HOST, probe_id=1)),))
+    spoofed = SendPlan(tuple(burst(HOST, 1, src=DEAD)))
     with pytest.raises(TransportError, match="spoofed"):
         raw.execute(spoofed, CollectWindow(duration_ms=10))
-    plain = SendPlan(((0, ProbePacket(src=PROBER, dst=HOST, probe_id=1)),))
+    plain = SendPlan(tuple(burst(HOST, 1)))
     with pytest.raises(TransportError, match="not included"):
         raw.execute(plain, CollectWindow(duration_ms=10))
+
+
+def test_the_world_does_not_keep_its_config_alive():
+    """The simulator keeps only what it derived from the config, so the
+    config's address objects are freed once the transport is built."""
+    cfg = star_config(Unlimited())
+    ref = weakref.ref(cfg)
+    tp = SimTransport(cfg)
+    del cfg
+    gc.collect()
+    assert ref() is None
+    assert tp.source_address == PROBER
+    assert len(tp.execute(SendPlan(tuple(burst(DEAD, 3))), CollectWindow(duration_ms=100))) == 3
