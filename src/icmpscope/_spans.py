@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
+from ipaddress import IPv6Network
 from typing import Generic, TypeVar
 
 T = TypeVar("T")
+
+
+def prefix_span(net: IPv6Network) -> tuple[int, int]:
+    """``(first, last)`` address of ``net`` as ints, without caching address
+    objects on ``net`` as ``net[0]`` and ``net[-1]`` do."""
+    lo = int(net.network_address)
+    return lo, lo | ((1 << (128 - net.prefixlen)) - 1)
 
 
 def merge_spans(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from icmpscope._mix import mix64
-from icmpscope._spans import SpanTable
+from icmpscope._spans import SpanTable, prefix_span
 from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan, TransportError
 
@@ -259,7 +259,7 @@ def run_discovery(
     }
     live = [slots[prefixes[i - 1]] for i in cyclic_permutation(len(prefixes), seed)]
     # Sorted spans for assigning returned pairs to their prefix's slot.
-    spans = SpanTable((int(p[0]), int(p[-1]), slots[p]) for p in prefixes)
+    spans = SpanTable((*prefix_span(p), slots[p]) for p in prefixes)
     src = int(transport.source_address)
     peripheries: dict[int, IPv6Address] = {}  # one address object per answering router
     pair_cap, probe_cap = caps.pair_cap, caps.probe_cap

@@ -116,14 +116,17 @@ def run_phased(
     and the transport's pacer keeps a quiet gap per node regardless.
     ``burst_for(unit, phase)`` returns the burst's target, probe count and
     noise; it is called just before that burst is sent, so any random draws
-    it makes follow the send order.
+    it makes follow the send order. Equal samples are yielded as one shared
+    object, so callers that keep them hold one per distinct count.
     """
     pacer = pacer_for(transport)
+    shared: dict[RcvSample, RcvSample] = {}
     for _round in range(repeats):
         for phase in phases:
             for unit in units:
                 mt, n, noise = burst_for(unit, phase)
-                yield unit, phase, pacer.measure(mt, n, noise, receive_window_ms)
+                sample = pacer.measure(mt, n, noise, receive_window_ms)
+                yield unit, phase, shared.setdefault(sample, sample)
 
 
 def interleave_pattern(n_probe: int, m_noise: int) -> list[bool]:

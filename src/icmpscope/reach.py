@@ -213,7 +213,7 @@ def geo_estimator(geo: CoordinateMap, rng: random.Random) -> EstimateFn:
     return estimate
 
 
-@dataclass
+@dataclass(slots=True)
 class ReachRecord:
     target: IPv6Address
     samples: list[tuple[int, int]] = field(default_factory=list)  # (rcv1, rcv2) per repeat
@@ -279,6 +279,8 @@ def run_reach_campaign(
     rvp_states = [_RvpState(pair) for pair in proxy_rvps]
     pacer = pacer_for(transport)
     records = {t: ReachRecord(t) for t in targets}
+    # One tuple per distinct (rcv1, rcv2): both counts are at most n_probe.
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
     rtt_b: dict[IPv6Address, float | None] = {}
     run_index = 0
 
@@ -315,7 +317,8 @@ def run_reach_campaign(
                 probe_late_margin_ms=probe_late_margin_ms,
             )
             state.uses_since_baseline += 1
-            records[target].samples.append((state.baseline.rcv, rcv2.rcv))
+            sample = (state.baseline.rcv, rcv2.rcv)
+            records[target].samples.append(shared.setdefault(sample, sample))
 
     for record in records.values():
         if record.samples:

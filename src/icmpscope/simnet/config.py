@@ -13,7 +13,7 @@ from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 
-from icmpscope._spans import SpanTable
+from icmpscope._spans import SpanTable, prefix_span
 from icmpscope.model import IcmpKind, parse_address, parse_prefix
 from icmpscope.simnet.limiter import (
     LimiterScope,
@@ -112,7 +112,7 @@ class SimConfig:
                 raise SimConfigError(f"duplicate address {h.address}")
             seen.add(h.address)
 
-        served = SpanTable((int(r.served_prefix[0]), int(r.served_prefix[-1]), r) for r in self.routers)
+        served = SpanTable((*prefix_span(r.served_prefix), r) for r in self.routers)
         if served.overlaps():
             raise SimConfigError("router served prefixes overlap")
 

@@ -19,6 +19,9 @@ class LimiterScope(Enum):
     PER_SOURCE = "per_source"
 
 
+_PER_SOURCE = LimiterScope.PER_SOURCE  # an Enum member costs a class lookup per read
+
+
 @dataclass(frozen=True, slots=True)
 class TokenBucket:
     """Bucket of ``capacity`` tokens; one new token every ``refill_interval_ms``."""
@@ -59,10 +62,8 @@ class TokenBucketState:
     last_refill: int
 
 
-def bucket_try_consume(
-    state: TokenBucketState, spec: TokenBucket, now: int
-) -> tuple[bool, TokenBucketState]:
-    """Refill by whole elapsed intervals, then grant one token if available.
+def _refill(tokens: int, last: int, spec: TokenBucket, now: int) -> tuple[int, int]:
+    """The refill rule: ``(tokens, last_refill)`` at ``now``, before any grant.
 
     While draining, ``last_refill`` advances by exactly the placed intervals
     so fractional progress toward the next token is never lost. A refill that
@@ -70,18 +71,22 @@ def bucket_try_consume(
     bucket is wasted, and the interval clock restarts when consumption
     resumes, so every burst against a recovered bucket behaves identically.
     """
-    tokens = state.tokens
-    last = state.last_refill
     elapsed = now - last
-    if elapsed >= spec.refill_interval_ms:
-        placed = elapsed // spec.refill_interval_ms
+    interval = spec.refill_interval_ms
+    if elapsed >= interval:
+        placed = elapsed // interval
         if tokens + placed >= spec.capacity:
-            tokens = spec.capacity
-            last = now
-        else:
-            tokens += placed
-            last += placed * spec.refill_interval_ms
+            return spec.capacity, now
+        tokens += placed
+        last += placed * interval
     assert 0 <= tokens <= spec.capacity
+    return tokens, last
+
+
+def bucket_try_consume(state: TokenBucketState, spec: TokenBucket, now: int) -> tuple[bool, TokenBucketState]:
+    """Refill by whole elapsed intervals (``_refill``), then grant one token
+    if available."""
+    tokens, last = _refill(state.tokens, state.last_refill, spec, now)
     if tokens >= 1:
         return True, TokenBucketState(tokens - 1, last)
     return False, TokenBucketState(tokens, last)
@@ -90,27 +95,29 @@ def bucket_try_consume(
 class LimiterBank:
     """Per-router limiter state, independent per ICMP kind (and per source
     for per-source-scoped buckets). States are created lazily, full, on first
-    demand so the refill grid anchors at first use.
+    demand so the refill grid anchors at first use. A token bucket keeps a
+    ``(tokens, last_refill)`` tuple, a strict single limiter its last emission.
     """
 
     __slots__ = ("spec", "_states")
 
     def __init__(self, spec: RateLimiterSpec) -> None:
         self.spec = spec
-        self._states: dict[tuple[IcmpKind, int | None], object] = {}
+        self._states: dict[tuple[IcmpKind, int | None], tuple[int, int] | int] = {}
 
     def try_emit(self, kind: IcmpKind, src: int, now: int) -> bool:
         spec = self.spec
+        if isinstance(spec, TokenBucket):
+            key = (kind, src if spec.scope is _PER_SOURCE else None)
+            tokens, last = self._states.get(key) or (spec.capacity, now)
+            tokens, last = _refill(tokens, last, spec, now)
+            if tokens >= 1:
+                self._states[key] = (tokens - 1, last)
+                return True
+            self._states[key] = (tokens, last)
+            return False
         if isinstance(spec, Unlimited):
             return True
-        if isinstance(spec, TokenBucket):
-            key = (kind, src if spec.scope is LimiterScope.PER_SOURCE else None)
-            state = self._states.get(key)
-            if state is None:
-                state = TokenBucketState(spec.capacity, now)
-            granted, new_state = bucket_try_consume(state, spec, now)
-            self._states[key] = new_state
-            return granted
         # StrictSingle: one message per rolling window, per kind.
         key = (kind, None)
         last_emit = self._states.get(key)

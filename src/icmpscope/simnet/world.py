@@ -13,18 +13,21 @@ Lookups are indexed once at construction. Directed cut edges become, per
 destination, one sorted list of merged source spans (nested, duplicate and
 touching cut prefixes fused), so a packet's cut check is a single bisection;
 served prefixes resolve to their site the same way. ``_route`` is the one
-routing step (cut check, site, link). The world keeps no per-packet log:
-``_uid`` counts packets sent and ``_seq`` counts those that were scheduled
-for arrival.
+routing step (cut check, site, link) and bisects both tables inline. Each
+link keeps its loss and jitter hash keys, folded once from the seed and the
+link's index. The world keeps no per-packet log: ``_uid`` counts packets sent
+and ``_seq`` counts those that were scheduled for arrival.
 
-Addresses are ints throughout. The prober's probes enter a whole plan in
-one ``inject`` call, as ``(offset, src, dst, probe_id)`` rows of echo
-requests, taken in slices of up to ``_INJECT_SLICE`` packets: within a slice
-each destination is routed once and each link draws its loss and jitter in
-one ``mix_units`` pass, yet every packet keeps the uid, the draws and the
-heap entry that one ``_send`` per packet would give it. Observations carry
-the int ``origin`` and ``quoted_dst`` as the packets did, so the world builds
-no address object.
+One loop, ``_run``, serves ``run_until`` and ``run_all``. It handles each
+arrival in place, with no call per event: every reply or error leaves through
+``_send``, the one per-packet send, after the router's
+``LimiterBank.try_emit`` has granted it. The prober's own probes enter a
+whole plan in one ``inject`` call, as ``(offset, src, dst, probe_id)`` int
+rows, in slices of up to ``_INJECT_SLICE`` packets: within a slice each
+destination is routed once and each link draws its loss and jitter in one
+``mix_units`` pass, yet every packet keeps the uid, the draws and the heap
+entry that one ``_send`` per packet would give it. Observations carry int
+addresses, so the world builds no address object.
 
 Second-order traffic matters here: an echo reply that lands on a router whose
 served prefix contains an unreachable destination consumes that router's
@@ -37,10 +40,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from heapq import heappop, heappush
+from math import inf
 
-from icmpscope._mix import mix_unit as _mix_unit
-from icmpscope._mix import mix_units as _mix_units
-from icmpscope._spans import SpanTable, merge_spans
+from icmpscope._mix import U64, fold_key, mix64_folded, mix_units
+from icmpscope._spans import SpanTable, merge_spans, prefix_span
 from icmpscope.model import IcmpKind, IcmpObservation
 from icmpscope.simnet.config import SimConfig
 from icmpscope.simnet.limiter import LimiterBank
@@ -78,7 +81,6 @@ class SimWorld:
 
     def __init__(self, cfg: SimConfig) -> None:
         cfg.validate()
-        self._seed = cfg.seed
         self._prober = int(cfg.prober)
         self._heap: list[tuple] = []
         self._seq = 0
@@ -88,50 +90,37 @@ class SimWorld:
 
         self._router_by_addr: dict[int, _RouterRec] = {}
         for r in cfg.routers:
+            lo, hi = prefix_span(r.served_prefix)
             rec = _RouterRec(
-                int(r.address),
-                int(r.served_prefix[0]),
-                int(r.served_prefix[-1]),
-                r.isav_ingress,
-                r.echo_responder,
-                r.error_kind,
-                LimiterBank(r.limiter),
+                int(r.address), lo, hi, r.isav_ingress, r.echo_responder, r.error_kind, LimiterBank(r.limiter)
             )
             self._router_by_addr[rec.addr] = rec
         # Served prefix -> router address; disjoint by config validation.
-        self._prefix_site = SpanTable((rec.lo, rec.hi, rec.addr) for rec in self._router_by_addr.values()).find
+        self._served = SpanTable((rec.lo, rec.hi, rec.addr) for rec in self._router_by_addr.values())
 
-        self._hosts: dict[int, tuple[bool, int]] = {}
-        for h in cfg.hosts:
-            site = self._prefix_site(int(h.address))
-            assert site is not None  # guaranteed by config validation
-            self._hosts[int(h.address)] = (h.responds_to_echo, site)
+        # Host -> (answers echo, site); every host has a site by config validation.
+        self._hosts: dict[int, tuple[bool, int]] = {
+            int(h.address): (h.responds_to_echo, self._served.find(int(h.address))) for h in cfg.hosts
+        }
 
-        self._links: dict[tuple[int, int], tuple[int, float, float, float]] = {}
-        for idx, ((a, b), m) in enumerate(sorted(cfg.links.items(), key=lambda kv: (int(kv[0][0]), int(kv[0][1])))):
-            self._links[(int(a), int(b))] = (idx, m.base_owd_ms, m.jitter_frac, m.loss_prob)
+        # Link -> (owd, jitter, loss, loss key, jitter key), with the keys
+        # folded from the seed and the link's index in sorted order. A link
+        # without loss (or jitter) draws nothing, so it keeps the key 0.
+        self._links: dict[tuple[int, int], tuple[float, float, float, int, int]] = {}
+        for idx, (a, b, m) in enumerate(sorted((int(a), int(b), m) for (a, b), m in cfg.links.items())):
+            loss_key = fold_key(cfg.seed, 2 * idx) if m.loss_prob else 0
+            jitter_key = fold_key(cfg.seed, 2 * idx + 1) if m.jitter_frac else 0
+            self._links[(a, b)] = (m.base_owd_ms, m.jitter_frac, m.loss_prob, loss_key, jitter_key)
 
         # Cut source prefixes per destination, merged so that one bisection
         # answers "is the sender cut off?" even for nested or duplicate cuts.
         cut_spans: dict[int, list[tuple[int, int]]] = {}
         for prefix, dst in cfg.unreachable_pairs:
-            cut_spans.setdefault(int(dst), []).append((int(prefix[0]), int(prefix[-1])))
+            cut_spans.setdefault(int(dst), []).append(prefix_span(prefix))
         self._cuts_by_dst: dict[int, SpanTable[None]] = {
             dst: SpanTable((lo, hi, None) for lo, hi in merge_spans(spans))
             for dst, spans in cut_spans.items()
         }
-
-    # -- address/site resolution ----------------------------------------
-
-    def _site_of(self, addr: int) -> int | None:
-        if addr == self._prober:
-            return addr
-        if addr in self._router_by_addr:
-            return addr
-        h = self._hosts.get(addr)
-        if h is not None:
-            return h[1]
-        return self._prefix_site(addr)
 
     # -- event machinery -------------------------------------------------
 
@@ -169,18 +158,17 @@ class SimWorld:
                 uids.append(uid0 + i)
         self._uid = uid0 + len(sites)
 
-        seed = self._seed
         delays: list[int | None] = [None] * len(sites)
         for link, uids in by_link.items():
             if link is None:
                 for uid in uids:
                     delays[uid - uid0] = 0
                 continue
-            idx, owd, jitter, loss = link
+            owd, jitter, loss, loss_key, jitter_key = link
             if loss:
-                uids = [uid for uid, u in zip(uids, _mix_units(seed, uids, idx * 2)) if u >= loss]
+                uids = [uid for uid, u in zip(uids, mix_units(loss_key, uids)) if u >= loss]
             if jitter:
-                for uid, u in zip(uids, _mix_units(seed, uids, idx * 2 + 1)):
+                for uid, u in zip(uids, mix_units(jitter_key, uids)):
                     delays[uid - uid0] = int(round(owd * (1.0 + jitter * (2.0 * u - 1.0))))
             else:
                 fixed = int(round(owd))
@@ -206,13 +194,20 @@ class SimWorld:
             i = bisect_right(cut.los, sender)
             if i and sender <= cut.his[i - 1]:
                 return None
-        to_site = self._site_of(dst)
-        if to_site is None:
-            return None
+        host = self._hosts.get(dst)
+        if dst == self._prober or dst in self._router_by_addr:
+            to_site = dst
+        elif host is not None:
+            to_site = host[1]
+        else:
+            served = self._served
+            i = bisect_right(served.los, dst)
+            if not i or dst > served.his[i - 1]:
+                return None
+            to_site = served.values[i - 1]
         if to_site == from_site:
             return to_site, None
-        a, b = (from_site, to_site) if from_site <= to_site else (to_site, from_site)
-        link = self._links.get((a, b))
+        link = self._links.get((from_site, to_site) if from_site <= to_site else (to_site, from_site))
         if link is None:
             return None
         return to_site, link
@@ -237,83 +232,61 @@ class SimWorld:
         if link is None:
             delay = 0
         else:
-            idx, base, jitter, loss = link
-            if loss and _mix_unit(self._seed, uid, idx * 2) < loss:
+            owd, jitter, loss, loss_key, jitter_key = link
+            if loss and mix64_folded(loss_key, uid) / U64 < loss:
                 return
             if jitter:
-                u = _mix_unit(self._seed, uid, idx * 2 + 1)
-                delay = int(round(base * (1.0 + jitter * (2.0 * u - 1.0))))
+                u = mix64_folded(jitter_key, uid) / U64
+                delay = int(round(owd * (1.0 + jitter * (2.0 * u - 1.0))))
             else:
-                delay = int(round(base))
+                delay = int(round(owd))
         self._seq += 1
         heappush(self._heap, (t + delay, self._seq, to_site, from_site, kind, src, dst, quoted, pid))
 
     def run_until(self, t_end: int) -> None:
         """Process every event with timestamp <= t_end."""
-        heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            t, _seq, to_site, from_site, kind, src, dst, quoted, pid = heappop(heap)
-            self.clock = t
-            self._arrive(t, to_site, from_site, kind, src, dst, quoted, pid)
+        self._run(t_end)
         if t_end > self.clock:
             self.clock = t_end
 
     def run_all(self) -> None:
+        self._run(inf)
+
+    def _run(self, t_end: float) -> None:
+        """Handle every event with timestamp <= ``t_end``."""
         heap = self._heap
-        while heap:
+        t = self.clock
+        prober, routers, hosts, send = self._prober, self._router_by_addr, self._hosts, self._send
+        observe = self.observations.append
+        request, reply = IcmpKind.ECHO_REQUEST, IcmpKind.ECHO_REPLY
+        while heap and heap[0][0] <= t_end:
             t, _seq, to_site, from_site, kind, src, dst, quoted, pid = heappop(heap)
-            self.clock = t
-            self._arrive(t, to_site, from_site, kind, src, dst, quoted, pid)
-
-    def _arrive(
-        self,
-        t: int,
-        to_site: int,
-        from_site: int,
-        kind: IcmpKind,
-        src: int,
-        dst: int,
-        quoted: int | None,
-        pid: int | None,
-    ) -> None:
-        if to_site == self._prober:
-            if dst == self._prober:
-                self.observations.append(IcmpObservation(kind, src, quoted, t, pid))
-            return
-
-        rec = self._router_by_addr[to_site]
-        # Inbound source address validation: drop packets that claim a source
-        # inside the served prefix but arrive from another site.
-        if rec.isav and from_site != to_site and rec.lo <= src <= rec.hi:
-            return
-
-        if kind is IcmpKind.ECHO_REQUEST:
-            if dst == rec.addr:
-                if rec.echo and rec.bank.try_emit(IcmpKind.ECHO_REPLY, src, t):
-                    self._send(t, IcmpKind.ECHO_REPLY, rec.addr, src, None, pid, to_site, rec.addr)
-                return
-            host = self._hosts.get(dst)
-            if host is not None:
-                if host[0]:
-                    self._send(t, IcmpKind.ECHO_REPLY, dst, src, None, pid, to_site, dst)
-                return
-            if rec.lo <= dst <= rec.hi:
-                if rec.bank.try_emit(rec.error_kind, src, t):
-                    self._send(t, rec.error_kind, rec.addr, src, dst, pid, to_site, rec.addr)
-            return
-
-        if kind is IcmpKind.ECHO_REPLY:
-            if dst == rec.addr or dst in self._hosts:
-                return  # delivered; replies never trigger replies
-            if rec.lo <= dst <= rec.hi:
-                # Reply addressed to a dead host: the periphery answers with an
-                # error toward the reply's source, spending a rate-limit token.
-                if rec.bank.try_emit(rec.error_kind, src, t):
-                    self._send(t, rec.error_kind, rec.addr, src, dst, pid, to_site, rec.addr)
-            return
-
-        # Error messages are absorbed wherever they land; no errors on errors.
-        return
+            if to_site == prober:
+                if dst == prober:
+                    observe(IcmpObservation(kind, src, quoted, t, pid))
+                continue
+            rec = routers[to_site]
+            # Inbound source address validation: drop packets that claim a source
+            # inside the served prefix but arrive from another site.
+            if rec.isav and from_site != to_site and rec.lo <= src <= rec.hi:
+                continue
+            if kind is request:
+                if dst == rec.addr:
+                    if rec.echo and rec.bank.try_emit(reply, src, t):
+                        send(t, reply, rec.addr, src, None, pid, to_site, rec.addr)
+                    continue
+                host = hosts.get(dst)
+                if host is not None:
+                    if host[0]:
+                        send(t, reply, dst, src, None, pid, to_site, dst)
+                    continue
+            elif kind is not reply or dst == rec.addr or dst in hosts:
+                continue  # errors are absorbed, delivered replies answered by nothing
+            # A request for, or a reply to, a dead address in the served prefix:
+            # the error goes back to the packet's source and spends a token.
+            if rec.lo <= dst <= rec.hi and rec.bank.try_emit(rec.error_kind, src, t):
+                send(t, rec.error_kind, rec.addr, src, dst, pid, to_site, rec.addr)
+        self.clock = t
 
     def drain_observations(self) -> list[IcmpObservation]:
         out = self.observations

@@ -15,6 +15,7 @@ from icmpscope.ratelimit import (
     observability,
     pacer_for,
     ratio_sweep,
+    run_phased,
     split_counts,
     sufficiency_sweep,
 )
@@ -106,6 +107,16 @@ def bucket_population(n=20, seed=0, caps=(5, 15)):
     bundle = scenarios.build_isav_population(n, seed=seed, cap_range=caps)
     targets = [MeasureTarget.from_pair(pl[0]) for pl in bundle.pairs.values()]
     return bundle, targets
+
+
+def test_run_phased_yields_one_object_per_distinct_sample():
+    bundle, targets = bucket_population(6, seed=4)
+    tp = SimTransport(bundle.cfg)
+    bursts = list(run_phased(targets, (30, 150), 3, lambda mt, n: (mt, n, None), tp, 1000))
+    samples = [sample for _mt, _n, sample in bursts]
+    assert len(samples) == 6 * 2 * 3
+    assert all(a is b for a in samples for b in samples if a == b)
+    assert len({id(s) for s in samples}) == len(set(samples)) < len(samples)
 
 
 def test_sufficiency_sweep_unlimited_population_never_observable():

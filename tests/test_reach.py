@@ -212,6 +212,18 @@ def test_campaign_single_target_single_rvp_bookkeeping():
     assert record.verdict is not None and record.verdict.k == 4
 
 
+def test_campaign_shares_one_tuple_per_distinct_sample():
+    bundle, tp = reach_world(16, 5, seed=13)
+    params = MeasurementParams(repeats=3, lam=0.7)
+    result = run_reach_campaign(
+        bundle.reach_targets, bundle.proxy_rvps, params, tp,
+        estimate_fn=perfect_estimator(bundle), seed=13,
+    )
+    samples = [s for record in result.records.values() for s in record.samples]
+    assert len(samples) == 3 * len(bundle.reach_targets)
+    assert len({id(s) for s in samples}) == len(set(samples)) < len(samples)
+
+
 def test_campaign_silent_target_is_uncertain_by_policy():
     bundle, tp = reach_world(3, 1, seed=15)
     silent = bundle.reach_targets[1]

@@ -4,7 +4,7 @@ from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 
-from oracles import inject_each, replay_token_bucket, router_handle, run_events
+from oracles import ReferenceWorld, inject_each, replay_token_bucket, router_handle, run_events, site_of
 
 from icmpscope.model import IcmpKind, parse_address, parse_prefix
 from icmpscope.simnet import (
@@ -24,6 +24,7 @@ from icmpscope.simnet import (
     oracle_reachable,
     oracle_rl_class,
 )
+from icmpscope.simnet import scenarios
 from icmpscope.simnet.config import link_key
 from icmpscope.simnet.limiter import LimiterBank, LimiterScope
 from icmpscope.simnet.world import _INJECT_SLICE
@@ -136,6 +137,39 @@ def test_limiter_bank_per_source_scope():
     assert bank.try_emit(kind, 1, 0)
     assert not bank.try_emit(kind, 1, 1)
     assert bank.try_emit(kind, 2, 1)  # different source, own bucket
+
+
+def test_limiter_bank_token_bucket_agrees_with_bucket_try_consume_and_replay():
+    rng = random.Random(91)
+    kinds = (IcmpKind.DEST_UNREACHABLE, IcmpKind.ECHO_REPLY)
+    for _ in range(150):
+        scope = rng.choice([LimiterScope.GLOBAL, LimiterScope.PER_SOURCE])
+        spec = TokenBucket(rng.randint(1, 10), rng.randint(1, 300), scope=scope)
+        bank = LimiterBank(spec)
+        states, times, grants = {}, {}, {}
+        t = 0
+        for _ in range(rng.randint(1, 150)):
+            t += rng.choice([0, 0, 1, rng.randint(0, 400)])
+            kind, src = rng.choice(kinds), rng.randint(1, 4)
+            key = (kind, src if scope is LimiterScope.PER_SOURCE else None)
+            granted = bank.try_emit(kind, src, t)
+            expected, states[key] = bucket_try_consume(states.get(key, TokenBucketState(spec.capacity, t)), spec, t)
+            assert granted == expected
+            assert bank._states[key] == (states[key].tokens, states[key].last_refill)
+            times.setdefault(key, []).append(t)
+            grants.setdefault(key, []).append(granted)
+        for key, when in times.items():
+            assert grants[key] == replay_token_bucket(when, spec.capacity, spec.refill_interval_ms, when[0])
+
+
+def test_refill_rule_asserts_the_capacity():
+    spec = TokenBucket(3, 100)
+    with pytest.raises(AssertionError):
+        bucket_try_consume(TokenBucketState(4, 0), spec, 50)
+    bank = LimiterBank(spec)
+    bank._states[(IcmpKind.DEST_UNREACHABLE, None)] = (-1, 0)
+    with pytest.raises(AssertionError):
+        bank.try_emit(IcmpKind.DEST_UNREACHABLE, 1, 50)
 
 
 # -- router behavior via run_events ----------------------------------------
@@ -302,7 +336,7 @@ def world_drops_as_cut(world, sender, dst):
     delay applies and only the cut check can drop it.
     """
     queued = len(world._heap)
-    world._send(0, IcmpKind.ECHO_REPLY, sender, dst, None, None, world._site_of(dst), sender)
+    world._send(0, IcmpKind.ECHO_REPLY, sender, dst, None, None, site_of(world, dst), sender)
     return len(world._heap) == queued
 
 
@@ -380,6 +414,88 @@ def test_inject_matches_per_packet_sends():
         batched.run_all()
         each.run_all()
         assert batched.observations == each.observations
+
+
+# -- the event loop against the reference loop ------------------------------
+
+
+def loop_config(rng):
+    """Four sites with every limiter kind, echo responders on or off, live and
+    silent hosts, ISAV, loss and jitter, links between sites for reflections,
+    and cuts."""
+    limiters = (
+        lambda: TokenBucket(rng.randint(1, 6), rng.choice([10, 50, 200])),
+        lambda: TokenBucket(rng.randint(1, 6), rng.choice([10, 50, 200]), scope=LimiterScope.PER_SOURCE),
+        lambda: StrictSingle(rng.choice([5, 40])),
+        Unlimited,
+    )
+    routers = [
+        SimRouter(address=p[1], served_prefix=p, limiter=rng.choice(limiters)(),
+                  isav_ingress=rng.random() < 0.4, echo_responder=rng.random() < 0.7,
+                  error_kind=rng.choice([IcmpKind.DEST_UNREACHABLE, IcmpKind.TIME_EXCEEDED]))
+        for p in INJECT_SITES
+    ]
+    hosts = [SimHost(p[host], responds_to_echo=rng.random() < 0.7) for p in INJECT_SITES for host in (0xb, 0xc)]
+    ends = [PROBER] + [r.address for r in routers]
+    links = {
+        link_key(a, b): LinkModel(rng.uniform(0.0, 30.0), rng.choice([0.0, 0.2, 0.5]), rng.choice([0.0, 0.1, 0.4]))
+        for i, a in enumerate(ends) for b in ends[i + 1:] if rng.random() < 0.7
+    }
+    dsts = ends + [h.address for h in hosts] + [p[0xdead] for p in INJECT_SITES]
+    cuts = {
+        (IPv6Network((int(rng.choice(dsts)), rng.choice([32, 48, 64, 128])), strict=False), rng.choice(dsts))
+        for _ in range(rng.randint(0, 5))
+    }
+    return SimConfig(prober=PROBER, routers=routers, hosts=hosts, links=links,
+                     unreachable_pairs=cuts, seed=rng.getrandbits(64))
+
+
+def loop_plan(rng, cfg):
+    """Probes from the prober and spoofed ones, so that replies reflect onto
+    other sites and dead hosts there answer with errors."""
+    dsts = ([r.address for r in cfg.routers] + [h.address for h in cfg.hosts]
+            + [p[0xdead] for p in INJECT_SITES] + [UNROUTED, PROBER])
+    srcs = ([PROBER] * 3 + [r.address for r in cfg.routers] + [h.address for h in cfg.hosts]
+            + [p[0xdead] for p in INJECT_SITES] + [UNROUTED])
+    plan, t = [], 0
+    for pid in range(rng.randint(0, 2 * _INJECT_SLICE)):
+        t += rng.choice([0, 0, 1, 3, 9])
+        plan.append((t, int(rng.choice(srcs)), int(rng.choice(dsts)), pid))
+    return plan
+
+
+def loop_state(world):
+    banks = {addr: rec.bank._states for addr, rec in world._router_by_addr.items()}
+    return world._uid, world._seq, world.clock, world.observations, sorted(world._heap), banks
+
+
+def test_event_loop_matches_reference_loop():
+    rng = random.Random(1212)
+    for _ in range(150):
+        cfg = loop_config(rng)
+        world, ref = SimWorld(cfg), ReferenceWorld(cfg)
+        base = 0
+        for _plan in range(rng.randint(1, 5)):
+            plan = loop_plan(rng, cfg)
+            world.inject(base, plan)
+            ref.inject(base, plan)
+            base += rng.randint(0, 60)
+            world.run_until(base)
+            ref.run_until(base)
+            assert loop_state(world) == loop_state(ref)
+        world.run_all()
+        ref.run_all()
+        assert loop_state(world) == loop_state(ref)
+
+
+def test_validating_and_building_cache_no_address_on_prefixes():
+    cfg = scenarios.build_reach_population(12, 4, seed=6).cfg
+    prefixes = [r.served_prefix for r in cfg.routers] + [p for p, _dst in cfg.unreachable_pairs]
+    cfg.validate()
+    SimWorld(cfg)
+    assert cfg.unreachable_pairs
+    for prefix in prefixes:
+        assert not {"broadcast_address", "hostmask"} & vars(prefix).keys(), prefix
 
 
 # -- single-router handler ----------------------------------------------------
