@@ -263,35 +263,6 @@ def _noise_declines(
     ]
 
 
-def sufficiency_sweep(
-    targets: Sequence[MeasureTarget],
-    totals: Sequence[int],
-    decline_thresholds: Sequence[float],
-    transport,
-    *,
-    mn_ratio: float = 2.0,
-) -> dict[tuple[int, float], float]:
-    """Fraction of targets whose rate limiting stays unobservable per budget.
-
-    For every packet budget, measures the reply decline noise causes at each
-    target and marks the target insufficient when the decline falls short of
-    the threshold (or when the target never replies at all).
-    """
-    if not totals:
-        raise ValueError("totals must be non-empty")
-    declines: dict[int, list[float | None]] = {}
-    for total in totals:
-        m, n = split_counts(total, mn_ratio)
-        declines[total] = _noise_declines(targets, m, n, transport)
-
-    table: dict[tuple[int, float], float] = {}
-    for total in totals:
-        for threshold in decline_thresholds:
-            bad = sum(1 for d in declines[total] if d is None or d < threshold)
-            table[(total, threshold)] = bad / len(targets)
-    return table
-
-
 @dataclass(frozen=True, slots=True)
 class RatioSweepRow:
     mn_ratio: float

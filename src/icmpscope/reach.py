@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from icmpscope.model import DataPair, IcmpKind, MeasurementParams
@@ -184,7 +185,7 @@ def run_reach_protocol(
     b, src, m, n = int(target_b), int(transport.source_address), params.m_noise, params.n_probe
     rows = [(spoof_start + i, x, b, i + 1) for i in range(m)]
     rows += [(probe_start + j, src, x, m + 1 + j) for j in range(n)]
-    rows.sort(key=lambda row: row[0])
+    rows.sort(key=itemgetter(0))
 
     plan = SendPlan(tuple(rows))
     window = CollectWindow(

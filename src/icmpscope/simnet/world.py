@@ -24,10 +24,10 @@ arrival in place, with no call per event: every reply or error leaves through
 ``LimiterBank.try_emit`` has granted it. The prober's own probes enter a
 whole plan in one ``inject`` call, as ``(offset, src, dst, probe_id)`` int
 rows, in slices of up to ``_INJECT_SLICE`` packets: within a slice each
-destination is routed once and each link draws its loss and jitter in one
-``mix_units`` pass, yet every packet keeps the uid, the draws and the heap
-entry that one ``_send`` per packet would give it. Observations carry int
-addresses, so the world builds no address object.
+destination is routed once and each link draws its loss, then its jitter,
+with one ``mix_units`` call each, yet every packet keeps the uid, the draws
+and the heap entry that one ``_send`` per packet would give it. Observations
+carry int addresses, so the world builds no address object.
 
 Second-order traffic matters here: an echo reply that lands on a router whose
 served prefix contains an unreachable destination consumes that router's

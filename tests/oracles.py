@@ -13,6 +13,10 @@ timestamps itself and runs the world to quiescence; the AUC counts ranked
 pairs instead of integrating the ROC curve; primality is trial division by every integer up
 to the square root instead of Miller-Rabin, and prime factors are read off
 the divisor pairs instead of being divided out.
+
+``sufficiency_sweep`` is no reference: it is the packet-budget study of the
+rate-limit tests, which no command runs, so it lives here and not in the
+package.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from bisect import bisect_right
 from heapq import heappop, heappush
 from ipaddress import IPv6Address
 from math import isqrt
+from typing import Sequence
 
 from icmpscope._spans import SpanTable, merge_spans
 from icmpscope.model import IcmpKind, IcmpObservation
+from icmpscope.ratelimit import MeasureTarget, _noise_declines, split_counts
 from icmpscope.simnet.config import SimConfig, SimConfigError
 from icmpscope.simnet.limiter import LimiterBank
 from icmpscope.simnet.world import SimWorld, _RouterRec
@@ -86,6 +92,35 @@ def burst_probe_grants(
     times = [i * spacing_ms for i in range(len(slots))]
     grants = replay_token_bucket(times, capacity, interval_ms, anchor_ms=times[0])
     return sum(1 for is_probe, granted in zip(slots, grants) if is_probe and granted)
+
+
+def sufficiency_sweep(
+    targets: Sequence[MeasureTarget],
+    totals: Sequence[int],
+    decline_thresholds: Sequence[float],
+    transport,
+    *,
+    mn_ratio: float = 2.0,
+) -> dict[tuple[int, float], float]:
+    """Fraction of targets whose rate limiting stays unobservable per budget.
+
+    For every packet budget, measures the reply decline noise causes at each
+    target and marks the target insufficient when the decline falls short of
+    the threshold (or when the target never replies at all).
+    """
+    if not totals:
+        raise ValueError("totals must be non-empty")
+    declines: dict[int, list[float | None]] = {}
+    for total in totals:
+        m, n = split_counts(total, mn_ratio)
+        declines[total] = _noise_declines(targets, m, n, transport)
+
+    table: dict[tuple[int, float], float] = {}
+    for total in totals:
+        for threshold in decline_thresholds:
+            bad = sum(1 for d in declines[total] if d is None or d < threshold)
+            table[(total, threshold)] = bad / len(targets)
+    return table
 
 
 def router_handle(

@@ -1,4 +1,7 @@
 import random
+import struct
+
+import pytest
 
 from oracles import mix_unit
 
@@ -6,14 +9,29 @@ from icmpscope._mix import U64, fold_key, mix64, mix64_folded, mix_units
 
 
 def test_mix_units_equals_mix_unit_bit_for_bit():
+    """The 28-lane kernel against the scalar hash at every chunk boundary up
+    to 60 values and around four chunks (111-113) and six (168), for link
+    keys, keys above 2**64 and keys below 0, with the end uids 0 and
+    2**64 - 1 in any lane, from a list or an iterator."""
     rng = random.Random(64)
-    for _ in range(200):
-        a = rng.getrandbits(64)
-        c = rng.choice([0, 1, 2, 3, 297, 298, rng.getrandbits(16)])
-        bs = [rng.randrange(1 << 40) for _ in range(rng.randint(0, 60))]
-        bs += [0, 1, (1 << 40) - 1]
-        assert mix_units(fold_key(a, c), bs) == [mix_unit(a, b, c) for b in bs]
-    assert mix_units(fold_key(7, 5), []) == []
+    top = (1 << 64) - 1
+    for length in [*range(61), 111, 112, 113, 168]:
+        bs = [rng.choice([0, top, rng.getrandbits(64), rng.getrandbits(40)]) for _ in range(length)]
+        keys = [
+            (rng.getrandbits(64), rng.choice([0, 1, 2, 3, 297, 298, rng.getrandbits(16)])),
+            (rng.getrandbits(64), (1 << 79) | rng.getrandbits(79)),
+            (-1 - rng.getrandbits(64), rng.getrandbits(16)),
+        ]
+        for a, c in keys:
+            assert mix_units(fold_key(a, c), bs) == [mix_unit(a, b, c) for b in bs]
+        assert fold_key(*keys[1]) > top and fold_key(*keys[2]) < 0
+        assert mix_units(fold_key(a, c), iter(bs)) == [mix_unit(a, b, c) for b in bs]
+
+
+def test_mix_units_rejects_a_uid_outside_64_bits():
+    for bad in (1 << 64, (1 << 64) + 3, -1):
+        with pytest.raises(struct.error):
+            mix_units(fold_key(3, 4), [1, 2, bad])
 
 
 def test_mix64_keeps_its_values_folded_or_not():

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from oracles import burst_probe_grants, replay_token_bucket
+from oracles import burst_probe_grants, replay_token_bucket, sufficiency_sweep
 
 from icmpscope.model import IcmpKind, parse_address, spoof_sources
 from icmpscope.ratelimit import (
@@ -17,7 +17,6 @@ from icmpscope.ratelimit import (
     ratio_sweep,
     run_phased,
     split_counts,
-    sufficiency_sweep,
 )
 from icmpscope.simnet import RateLimitClass, StrictSingle, TokenBucket, Unlimited, oracle_rl_class
 from icmpscope.simnet import scenarios

@@ -8,8 +8,9 @@ import pytest
 from oracles import mann_whitney_auc
 
 from icmpscope.model import IcmpKind, MeasurementParams, parse_address, parse_prefix
-from icmpscope.ratelimit import DEFAULT_BURST_GAP_MS
+from icmpscope.ratelimit import DEFAULT_BURST_GAP_MS, RcvSample
 from icmpscope.reach import (
+    DEFAULT_PROBE_LATE_MARGIN_MS,
     CoordinateMap,
     ReachCategory,
     RttEstimate,
@@ -186,6 +187,35 @@ def test_protocol_silent_target_reflects_nothing():
     # No reflection is generated, indistinguishable from a cut: documented
     # confound, which is why the campaign pre-checks echo liveness.
     assert rcv2.rcv == rcv1.rcv
+
+
+def test_reflection_plan_merges_both_trains_by_offset_noise_first():
+    """For negative, zero and positive delta-t the plan is the m noise rows
+    and the n probe rows ordered by offset, a noise row before a probe row
+    at the same offset, each train in its own order."""
+    bundle, _ = reach_world()
+    plans = []
+
+    class RecordingTransport(SimTransport):
+        def execute(self, plan, window):
+            plans.append(plan.packets)
+            return super().execute(plan, window)
+
+    tp = RecordingTransport(bundle.cfg)
+    target, rvp = bundle.reach_targets[0], bundle.proxy_rvps[0]
+    params = MeasurementParams()
+    m, n = params.m_noise, params.n_probe
+    x, b, src = int(rvp.target), int(target), int(tp.source_address)
+    baseline = RcvSample(10, n, False, 0)
+    for rtt_a, rtt_b, sample, dt in [(100.0, 20.0, 0.0, -40), (60.0, 20.0, 40.0, 0), (20.0, 20.0, 80.0, 40)]:
+        assert delta_t(rtt_a, rtt_b, sample) == dt
+        est = RttEstimate(sample, sample, sample)
+        run_reach_protocol(target, rvp, params, est, tp, rtt_a, rtt_b, baseline=baseline)
+        noise = [(max(0, -dt) + i, x, b, i + 1) for i in range(m)]
+        probes = [(max(0, dt) + DEFAULT_PROBE_LATE_MARGIN_MS + j, src, x, m + 1 + j) for j in range(n)]
+        expected = sorted(noise + probes, key=lambda row: (row[0], row[3] > m))
+        assert plans[-1] == tuple(expected)
+        assert {row[0] for row in noise} & {row[0] for row in probes}  # the tie order is tested
 
 
 def test_campaign_cut_soundness_perfect_timing():
