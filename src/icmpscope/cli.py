@@ -1,10 +1,13 @@
 """Campaign orchestration CLI.
 
 Subcommands: simulate | discover | isav | reach | rl-classify | report.
-Configuration comes from an optional JSON file plus flag overrides; every
-engine writes line-delimited records and a summary table into the output
-directory; ``--resume`` skips the units already in the verdict file. Runs on
-the simulated backend reproduce byte for byte under a fixed seed.
+Configuration comes from an optional JSON file plus flag overrides. Every
+measuring step opens the same way (``_open_step``: config, output directory,
+transport, seed) and reads its own measurement parameters; ``isav`` and
+``reach`` record their verdicts through one resumable writer
+(``_record_verdicts``), so ``--resume`` skips the units already in the verdict
+file and the summary tables cover the whole file. Runs on the simulated
+backend reproduce byte for byte under a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from icmpscope.isav import (
 )
 from icmpscope.model import MeasurementParams, parse_address, parse_prefix
 from icmpscope.ratelimit import MeasureTarget, classify_limiters, pacer_for
-from icmpscope.reach import DEFAULT_BASELINE_REFRESH, DEFAULT_ROTATION_GAP_MS
 from icmpscope.reach import ReachCategory, ReachVerdict, evaluate, run_reach_campaign
 from icmpscope.simnet.config import SimConfig, oracle_rl_class
 from icmpscope.simnet import scenarios
@@ -59,6 +61,18 @@ def _setting(config: dict, args: argparse.Namespace, key: str, default=None):
     if value is not None:
         return value
     return config.get(key, default)
+
+
+def _section_setting(config: dict, args: argparse.Namespace, section: str, key: str, default: int) -> int:
+    """A count a step reads from ``--key``, else ``config[section][key]``; at least 1."""
+    value = getattr(args, key)
+    if value is None:
+        value = config.get(section, {}).get(key, default)
+    value = int(value)
+    if value < 1:
+        flag = "--" + key.replace("_", "-")
+        raise CliError(f"{flag} ('{section}.{key}' in the config file) must be at least 1, got {value}")
+    return value
 
 
 def _build_params(config: dict, args: argparse.Namespace, section: str, defaults: dict) -> MeasurementParams:
@@ -109,13 +123,7 @@ def _make_transport(config: dict, args: argparse.Namespace):
             raise CliError("sim backend needs --sim-config (or 'sim_config' in the config file)")
         if not Path(sim_path).is_file():
             raise CliError(f"sim config not found: {sim_path}")
-        cfg = SimConfig.load(sim_path)
-        rate = config.get("rate_cap", {})
-        return SimTransport(
-            cfg,
-            max_pps_per_prefix=int(rate.get("max_pps_per_prefix", 200)),
-            pacing_prefix_len=int(rate.get("pacing_prefix_len", 48)),
-        )
+        return SimTransport(SimConfig.load(sim_path))
     if backend == "raw":
         # Spoofed traffic is inherent to these measurements, so a raw run is
         # refused outright without the explicit acknowledgment flag.
@@ -132,14 +140,28 @@ def _make_transport(config: dict, args: argparse.Namespace):
     raise CliError(f"unknown backend: {backend}")
 
 
-def _out_dir(config: dict, args: argparse.Namespace) -> Path:
+def _open_step(args: argparse.Namespace, *, with_transport: bool = True):
+    """``(config, out, transport, seed)``: what every step opens with, in this
+    order, so the same bad input always gives the same first error."""
+    config = _load_config(args.config)
     out = Path(_setting(config, args, "out_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    transport = _make_transport(config, args) if with_transport else None
+    return config, out, transport, int(_setting(config, args, "seed", 0) or 0)
 
 
-def _load_records(path: Path) -> list[dict]:
-    """Every record in an append-only output file; none if it does not exist yet."""
+def _record_verdicts(path: Path, key: str, resume: bool, measure) -> list[dict]:
+    """Append the records ``measure(done)`` returns to the verdict file at
+    ``path`` and return every record in the file.
+
+    ``done`` holds the ``key`` of each record already in the file when
+    resuming; otherwise it is empty and the file starts over.
+    """
+    done = {r[key] for r in fileio.read_jsonl(path)} if resume and path.is_file() else set()
+    if not resume:
+        path.unlink(missing_ok=True)
+    for record in measure(done):
+        fileio.append_jsonl(path, record)
     return list(fileio.read_jsonl(path)) if path.is_file() else []
 
 
@@ -151,9 +173,7 @@ def _containing_48(addr) -> "IPv6Network":
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(config, args)
-    seed = int(_setting(config, args, "seed", 0) or 0)
+    _config, out, _transport, seed = _open_step(args, with_transport=False)
     loss = args.loss if args.loss is not None else 0.0
     jitter = args.jitter if args.jitter is not None else 0.0
 
@@ -186,54 +206,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "inputs": {},
     }
 
-    if bundle.pairs:
-        fileio.write_pairs(out / "pairs.jsonl", bundle.pairs)
-        campaign["inputs"]["pairs"] = str(out / "pairs.jsonl")
-    if bundle.scan_prefixes:
-        fileio.write_prefix_list(out / "prefixes.txt", bundle.scan_prefixes)
-        campaign["inputs"]["prefixes"] = str(out / "prefixes.txt")
-    if bundle.as_map:
-        fileio.write_as_map(out / "as_map.txt", bundle.as_map)
-        campaign["inputs"]["as_map"] = str(out / "as_map.txt")
-    if bundle.coords:
-        fileio.write_coords(out / "coords.jsonl", bundle.coords)
-        campaign["inputs"]["coords"] = str(out / "coords.jsonl")
-    if bundle.reach_targets:
-        fileio.write_address_list(out / "targets.txt", bundle.reach_targets)
-        campaign["inputs"]["targets"] = str(out / "targets.txt")
-    if bundle.proxy_rvps:
-        rvp_pairs: dict = {}
-        for pair in bundle.proxy_rvps:
-            rvp_pairs.setdefault(_containing_48(pair.target), []).append(pair)
-        fileio.write_pairs(out / "proxy_rvps.jsonl", rvp_pairs)
-        campaign["inputs"]["proxy_rvps"] = str(out / "proxy_rvps.jsonl")
-    if bundle.reach_truth:
-        fileio.write_reach_truth(out / "truth_reach.jsonl", bundle.reach_truth)
-        campaign["inputs"]["reach_truth"] = str(out / "truth_reach.jsonl")
-    if bundle.hitlist:
-        fileio.write_jsonl(
-            out / "hitlist.jsonl",
-            (
-                {"prefix": str(p), "address": str(a)}
-                for p, addrs in bundle.hitlist.items()
-                for a in addrs
-            ),
-        )
-        campaign["inputs"]["hitlist"] = str(out / "hitlist.jsonl")
-
-    isav_truth = {
-        r.served_prefix: r.isav_ingress for r in bundle.cfg.routers
-    }
-    if isav_truth:
-        fileio.write_isav_truth(out / "truth_isav.jsonl", isav_truth)
-        campaign["inputs"]["isav_truth"] = str(out / "truth_isav.jsonl")
+    rvp_pairs: dict = {}
+    for pair in bundle.proxy_rvps:
+        rvp_pairs.setdefault(_containing_48(pair.target), []).append(pair)
+    hitlist = [{"prefix": str(p), "address": str(a)} for p, addrs in bundle.hitlist.items() for a in addrs]
+    isav_truth = {r.served_prefix: r.isav_ingress for r in bundle.cfg.routers}
     rl_truth = {
         r.address: oracle_rl_class(bundle.cfg, r.address, r.error_kind).value
         for r in bundle.cfg.routers
     }
-    if rl_truth:
-        fileio.write_rl_truth(out / "truth_rl.jsonl", rl_truth)
-        campaign["inputs"]["rl_truth"] = str(out / "truth_rl.jsonl")
+    for name, filename, data, write in (
+        ("pairs", "pairs.jsonl", bundle.pairs, fileio.write_pairs),
+        ("prefixes", "prefixes.txt", bundle.scan_prefixes, fileio.write_prefix_list),
+        ("as_map", "as_map.txt", bundle.as_map, fileio.write_as_map),
+        ("coords", "coords.jsonl", bundle.coords, fileio.write_coords),
+        ("targets", "targets.txt", bundle.reach_targets, fileio.write_address_list),
+        ("proxy_rvps", "proxy_rvps.jsonl", rvp_pairs, fileio.write_pairs),
+        ("reach_truth", "truth_reach.jsonl", bundle.reach_truth, fileio.write_reach_truth),
+        ("hitlist", "hitlist.jsonl", hitlist, fileio.write_jsonl),
+        ("isav_truth", "truth_isav.jsonl", isav_truth, fileio.write_isav_truth),
+        ("rl_truth", "truth_rl.jsonl", rl_truth, fileio.write_rl_truth),
+    ):
+        if data:
+            path = out / filename
+            write(path, data)
+            campaign["inputs"][name] = str(path)
 
     (out / "campaign.json").write_text(json.dumps(campaign, indent=2, sort_keys=True) + "\n")
     print(f"scenario '{args.preset}' written to {out}")
@@ -247,20 +244,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(config, args)
-    transport = _make_transport(config, args)
+    config, out, transport, seed = _open_step(args)
     prefixes = fileio.read_prefix_list(_input_path(config, args, "prefixes", required=True))
     if not prefixes:
         raise CliError("prefix list is empty")
-    disco = config.get("discovery", {})
     caps = DiscoveryCaps(
-        pair_cap=int(args.pair_cap if args.pair_cap is not None else disco.get("pair_cap", 50)),
-        probe_cap=int(
-            args.probe_cap if args.probe_cap is not None else disco.get("probe_cap", 1_000_000)
-        ),
+        pair_cap=_section_setting(config, args, "discovery", "pair_cap", 50),
+        probe_cap=_section_setting(config, args, "discovery", "probe_cap", 1_000_000),
     )
-    seed = int(_setting(config, args, "seed", 0) or 0)
 
     result = run_discovery(prefixes, caps, transport, seed)
     fileio.write_pairs(out / "discovered_pairs.jsonl", result.pairs)
@@ -298,72 +289,63 @@ def _isav_verdict_record(prefix, triple, verdict) -> dict:
 
 
 def cmd_isav(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(config, args)
-    transport = _make_transport(config, args)
+    config, out, transport, seed = _open_step(args)
     params = _build_params(config, args, "isav", {})
-    seed = int(_setting(config, args, "seed", 0) or 0)
     # The supplemental pass can start from the hitlist alone.
     pairs_path = _input_path(config, args, "pairs", required=not args.supplemental)
     pairs = fileio.read_pairs(pairs_path) if pairs_path is not None else {}
+    candidates_per_prefix = _section_setting(config, args, "isav", "rvp_candidates", 3)
+    hitlist_path = _input_path(config, args, "hitlist", required=False) if args.supplemental else None
+    hitlist = fileio.read_hitlist(hitlist_path) if hitlist_path is not None else {}
+
+    def measure(done: set[str]):
+        prefix_rvps = {}
+        no_rvp = []
+        pacer = pacer_for(transport)
+        for prefix, plist in pairs.items():
+            if str(prefix) in done:
+                continue
+            scored = []
+            for pair in plist[:candidates_per_prefix]:
+                mt = MeasureTarget.from_pair(pair)
+                sample = pacer.measure(mt, params.n_probe, None, params.receive_window_ms)
+                scored.append((pair, float(sample.rcv)))
+            chosen = select_rvp(scored, params.n_probe)
+            if chosen is None:
+                no_rvp.append(prefix)
+            else:
+                prefix_rvps[prefix] = chosen
+
+        campaign = run_isav_campaign(
+            prefix_rvps, params, transport, transport.source_address, seed=seed
+        )
+        results = dict(campaign.results)
+
+        if args.supplemental:
+            uncertain = {
+                prefix: prefix_rvps.get(prefix)
+                for prefix, (_t, v) in results.items()
+                if v.category is IsavCategory.UNCERTAIN
+            }
+            # Prefixes that never produced a data pair are undecidable by the
+            # error-based campaign; the hitlist is their only way in.
+            for prefix in hitlist:
+                if prefix not in results and prefix not in pairs and str(prefix) not in done:
+                    uncertain[prefix] = None
+            if uncertain:
+                updates = run_supplemental_echo(
+                    uncertain, hitlist, params, transport, transport.source_address, seed=seed
+                )
+                results.update(updates)
+
+        for prefix in no_rvp:
+            results[prefix] = (RcvTriple(), IsavVerdict(IsavCategory.UNCERTAIN, "no_rvp", None, None))
+        return (_isav_verdict_record(prefix, triple, verdict) for prefix, (triple, verdict) in results.items())
 
     verdict_path = out / "isav_verdicts.jsonl"
-    done_units = {r["prefix"] for r in _load_records(verdict_path)} if args.resume else set()
-    if not args.resume:
-        verdict_path.unlink(missing_ok=True)
-
-    candidates_per_prefix = int(args.rvp_candidates or config.get("isav", {}).get("rvp_candidates", 3))
-    prefix_rvps = {}
-    no_rvp = []
-    pacer = pacer_for(transport)
-    for prefix, plist in pairs.items():
-        if str(prefix) in done_units:
-            continue
-        scored = []
-        for pair in plist[:candidates_per_prefix]:
-            mt = MeasureTarget.from_pair(pair)
-            sample = pacer.measure(mt, params.n_probe, None, params.receive_window_ms)
-            scored.append((pair, float(sample.rcv)))
-        chosen = select_rvp(scored, params.n_probe)
-        if chosen is None:
-            no_rvp.append(prefix)
-        else:
-            prefix_rvps[prefix] = chosen
-
-    campaign = run_isav_campaign(
-        prefix_rvps, params, transport, transport.source_address, seed=seed
-    )
-    results = dict(campaign.results)
-
-    if args.supplemental:
-        hitlist_path = _input_path(config, args, "hitlist", required=False)
-        hitlist = fileio.read_hitlist(hitlist_path) if hitlist_path is not None else {}
-        uncertain = {
-            prefix: prefix_rvps.get(prefix)
-            for prefix, (_t, v) in results.items()
-            if v.category is IsavCategory.UNCERTAIN
-        }
-        # Prefixes that never produced a data pair are undecidable by the
-        # error-based campaign; the hitlist is their only way in.
-        for prefix in hitlist:
-            if prefix not in results and prefix not in pairs and str(prefix) not in done_units:
-                uncertain[prefix] = None
-        if uncertain:
-            updates = run_supplemental_echo(
-                uncertain, hitlist, params, transport, transport.source_address, seed=seed
-            )
-            results.update(updates)
-
-    for prefix in no_rvp:
-        results[prefix] = (RcvTriple(), IsavVerdict(IsavCategory.UNCERTAIN, "no_rvp", None, None))
-    for prefix, (triple, verdict) in results.items():
-        fileio.append_jsonl(verdict_path, _isav_verdict_record(prefix, triple, verdict))
-
+    records = _record_verdicts(verdict_path, "prefix", args.resume, measure)
     # Summaries cover every recorded prefix, including those a resumed run skipped.
-    categories = {
-        parse_prefix(record["prefix"]): IsavCategory(record["verdict"])
-        for record in _load_records(verdict_path)
-    }
+    categories = {parse_prefix(record["prefix"]): IsavCategory(record["verdict"]) for record in records}
     counts = {c: sum(1 for v in categories.values() if v is c) for c in IsavCategory}
     decided = counts[IsavCategory.VULNERABLE] + counts[IsavCategory.DEPLOYED]
     rows = []
@@ -410,11 +392,8 @@ def cmd_isav(args: argparse.Namespace) -> int:
 
 
 def cmd_reach(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(config, args)
-    transport = _make_transport(config, args)
+    config, out, transport, seed = _open_step(args)
     params = _build_params(config, args, "reach", {"repeats": 6, "lambda": 0.7})
-    seed = int(_setting(config, args, "seed", 0) or 0)
 
     targets = fileio.read_address_list(_input_path(config, args, "targets", required=True))
     rvp_path = _input_path(config, args, "proxy_rvps", required=False)
@@ -422,50 +401,33 @@ def cmd_reach(args: argparse.Namespace) -> int:
         rvp_path = _input_path(config, args, "pairs", required=True)
     pairs = fileio.read_pairs(rvp_path)
     all_pairs = [pair for plist in pairs.values() for pair in plist]
-    rvp_count = int(args.rvp_count or config.get("reach", {}).get("rvp_count", 3))
-    proxy_rvps = all_pairs[:rvp_count]
+    proxy_rvps = all_pairs[:_section_setting(config, args, "reach", "rvp_count", 3)]
     if not proxy_rvps:
         raise CliError("pairs file holds no usable proxy RVPs")
     geo = fileio.read_coords(_input_path(config, args, "coords", required=True))
 
-    verdict_path = out / "reach_verdicts.jsonl"
-    done_units = {r["target"] for r in _load_records(verdict_path)} if args.resume else set()
-    if not args.resume:
-        verdict_path.unlink(missing_ok=True)
-    pending = [t for t in targets if str(t) not in done_units]
-
-    reach_cfg = config.get("reach", {})
-    result = run_reach_campaign(
-        pending,
-        proxy_rvps,
-        params,
-        transport,
-        geo=geo,
-        seed=seed,
-        rotation_gap_ms=int(reach_cfg.get("rotation_gap_ms", DEFAULT_ROTATION_GAP_MS)),
-        baseline_refresh=int(reach_cfg.get("baseline_refresh", DEFAULT_BASELINE_REFRESH)),
-    )
-    for target, record in result.records.items():
-        verdict = record.verdict
-        assert verdict is not None
-        fileio.append_jsonl(
-            verdict_path,
+    def measure(done: set[str]):
+        pending = [t for t in targets if str(t) not in done]
+        result = run_reach_campaign(pending, proxy_rvps, params, transport, geo=geo, seed=seed)
+        return (
             {
                 "target": str(target),
-                "avg1": verdict.avg1,
-                "avg2": verdict.avg2,
-                "ratio": verdict.ratio,
-                "verdict": verdict.category.value,
-                "k": verdict.k,
-            },
+                "avg1": record.verdict.avg1,
+                "avg2": record.verdict.avg2,
+                "ratio": record.verdict.ratio,
+                "verdict": record.verdict.category.value,
+                "k": record.verdict.k,
+            }
+            for target, record in result.records.items()
         )
 
+    verdict_path = out / "reach_verdicts.jsonl"
     # Counts and scores cover every recorded target, including those a resumed run skipped.
     verdicts = {
         parse_address(r["target"]): ReachVerdict(
             ReachCategory(r["verdict"]), r["ratio"], r["avg1"], r["avg2"], r["k"]
         )
-        for r in _load_records(verdict_path)
+        for r in _record_verdicts(verdict_path, "target", args.resume, measure)
     }
     counts: dict[str, int] = {}
     for v in verdicts.values():
@@ -502,11 +464,8 @@ def cmd_reach(args: argparse.Namespace) -> int:
 
 
 def cmd_rl_classify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(config, args)
-    transport = _make_transport(config, args)
+    config, out, transport, seed = _open_step(args)
     params = _build_params(config, args, "rl_classify", {"repeats": 1})
-    seed = int(_setting(config, args, "seed", 0) or 0)
     pairs = fileio.read_pairs(_input_path(config, args, "pairs", required=True))
     flat = [pair for plist in pairs.values() for pair in plist]
 

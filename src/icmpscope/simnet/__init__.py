@@ -12,7 +12,6 @@ from icmpscope.simnet.config import (
     TokenBucket,
     Unlimited,
     oracle_isav,
-    oracle_reachable,
     oracle_rl_class,
 )
 from icmpscope.simnet.limiter import LimiterBank, TokenBucketState, bucket_try_consume
@@ -34,6 +33,5 @@ __all__ = [
     "Unlimited",
     "bucket_try_consume",
     "oracle_isav",
-    "oracle_reachable",
     "oracle_rl_class",
 ]

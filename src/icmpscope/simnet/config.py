@@ -250,17 +250,6 @@ def oracle_isav(cfg: SimConfig, prefix: IPv6Network) -> bool:
     raise KeyError(f"no router serves prefix {prefix}")
 
 
-def oracle_reachable(cfg: SimConfig, src: IPv6Address, dst: IPv6Address) -> bool:
-    """True unless a configured cut edge suppresses src-network -> dst traffic."""
-    for addr in (src, dst):
-        if not _known_address(cfg, addr):
-            raise KeyError(f"address {addr} not part of the simulation")
-    for cut_prefix, cut_dst in cfg.unreachable_pairs:
-        if dst == cut_dst and src in cut_prefix:
-            return False
-    return True
-
-
 def oracle_rl_class(cfg: SimConfig, addr: IPv6Address, kind: IcmpKind) -> RateLimitClass:
     """Configured rate-limiting class of the router at ``addr`` for ``kind``.
 
@@ -281,12 +270,3 @@ def oracle_rl_class(cfg: SimConfig, addr: IPv6Address, kind: IcmpKind) -> RateLi
                 return RateLimitClass.STRICT
             return RateLimitClass.LOOSE
     raise KeyError(f"no router at {addr}")
-
-
-def _known_address(cfg: SimConfig, addr: IPv6Address) -> bool:
-    if addr == cfg.prober:
-        return True
-    for r in cfg.routers:
-        if addr == r.address or addr in r.served_prefix:
-            return True
-    return False

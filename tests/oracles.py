@@ -8,7 +8,8 @@ per-packet injection routes and draws for every probe on its own instead of
 once per destination and link; the reference world handles each arrival in a
 call of its own, resolves sites and routes in separate steps and hashes each
 draw from all three key parts, where the world runs one loop over folded
-link keys; the one-shot simulation checks the plan's
+link keys; the reachability oracle scans every configured cut edge, where
+the world bisects merged cut spans; the one-shot simulation checks the plan's
 timestamps itself and runs the world to quiescence; the AUC counts ranked
 pairs instead of integrating the ROC curve; primality is trial division by every integer up
 to the square root instead of Miller-Rabin, and prime factors are read off
@@ -318,6 +319,26 @@ def run_events(cfg: SimConfig, rows: list[tuple[int, int, int, int]]) -> list[Ic
     world.inject(0, rows)
     world.run_all()
     return world.observations
+
+
+def oracle_reachable(cfg: SimConfig, src: IPv6Address, dst: IPv6Address) -> bool:
+    """True unless a configured cut edge suppresses src-network -> dst traffic."""
+    for addr in (src, dst):
+        if not _known_address(cfg, addr):
+            raise KeyError(f"address {addr} not part of the simulation")
+    for cut_prefix, cut_dst in cfg.unreachable_pairs:
+        if dst == cut_dst and src in cut_prefix:
+            return False
+    return True
+
+
+def _known_address(cfg: SimConfig, addr: IPv6Address) -> bool:
+    if addr == cfg.prober:
+        return True
+    for r in cfg.routers:
+        if addr == r.address or addr in r.served_prefix:
+            return True
+    return False
 
 
 def mann_whitney_auc(labels: list[bool], scores: list[float]) -> float:

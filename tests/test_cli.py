@@ -144,6 +144,16 @@ def test_isav_supplemental_runs_from_the_preset_config_alone(tmp_path):
     assert alone and (out / "isav_verdicts.jsonl").read_bytes() == alone
 
 
+def test_isav_checks_the_hitlist_before_it_touches_the_verdict_file(tmp_path):
+    out = simulate_demo(tmp_path)
+    config = str(out / "campaign.json")
+    assert run_cli("isav", "--config", config, "--repeats", "1") == 0
+    verdicts = (out / "isav_verdicts.jsonl").read_bytes()
+    missing = str(out / "missing_hitlist.jsonl")
+    assert run_cli("isav", "--config", config, "--repeats", "1", "--supplemental", "--hitlist", missing) == 1
+    assert (out / "isav_verdicts.jsonl").read_bytes() == verdicts
+
+
 def test_cli_steps_leave_no_cyclic_garbage(tmp_path):
     """In-process callers run many steps, so each step's parser, transport and
     world must be freed by reference counting, not left to the cycle collector."""
@@ -161,6 +171,15 @@ def test_reach_resume_keeps_the_evaluation_tables(tmp_path):
     tables = read_tables(out, REACH_TABLES)
     assert run_cli("reach", "--config", config, "--repeats", "2", "--resume") == 0
     assert len((out / "reach_verdicts.jsonl").read_text().splitlines()) == n_records
+    assert read_tables(out, REACH_TABLES) == tables
+
+    # Partial verdict file: only the first unit is recorded as done.
+    first = (out / "reach_verdicts.jsonl").read_text()
+    (out / "reach_verdicts.jsonl").write_text(first.splitlines()[0] + "\n")
+    assert run_cli("reach", "--config", config, "--repeats", "2", "--resume") == 0
+    resumed = [json.loads(l)["target"] for l in (out / "reach_verdicts.jsonl").read_text().splitlines()]
+    assert len(resumed) == n_records == 20
+    assert len(set(resumed)) == n_records
     assert read_tables(out, REACH_TABLES) == tables
 
 
@@ -220,6 +239,38 @@ def test_config_validation_failures(tmp_path):
     # unknown sim config path
     assert run_cli("isav", "--pairs", str(out / "pairs.jsonl"),
                    "--sim-config", str(out / "missing.json"), "--out", str(out)) == 1
+
+
+@pytest.mark.parametrize("command, flag", [("reach", "--rvp-count"), ("isav", "--rvp-candidates")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_rvp_counts_below_one_are_refused(tmp_path, capsys, command, flag, value):
+    out = simulate_demo(tmp_path)
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(out / "campaign.json"), "--repeats", "1", flag, value) == 1
+    assert flag in capsys.readouterr().err
+    assert not (out / f"{command}_verdicts.jsonl").exists()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Verdict sets and dicts are hashed containers: no output may follow
+    their iteration order."""
+    src = Path(icmpscope.__file__).resolve().parents[1]
+    outputs = []
+    for hash_seed in ("1", "999"):
+        out = tmp_path / hash_seed
+        config = str(out / "campaign.json")
+        code = (
+            "from icmpscope.cli import main\n"
+            f"assert main(['simulate', '--preset', 'demo', '--seed', '4', '--out', {str(out)!r}]) == 0\n"
+            f"assert main(['isav', '--config', {config!r}, '--repeats', '1']) == 0\n"
+            f"assert main(['reach', '--config', {config!r}, '--repeats', '1']) == 0\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        # campaign.json holds the absolute output path, so it differs.
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "campaign.json"})
+    assert "isav_verdicts.jsonl" in outputs[0] and "reach_eval.tsv" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_input_error_names_file_and_line(tmp_path, capsys):

@@ -4,7 +4,15 @@ from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 
-from oracles import ReferenceWorld, inject_each, replay_token_bucket, router_handle, run_events, site_of
+from oracles import (
+    ReferenceWorld,
+    inject_each,
+    oracle_reachable,
+    replay_token_bucket,
+    router_handle,
+    run_events,
+    site_of,
+)
 
 from icmpscope.model import IcmpKind, parse_address, parse_prefix
 from icmpscope.simnet import (
@@ -21,7 +29,6 @@ from icmpscope.simnet import (
     Unlimited,
     bucket_try_consume,
     oracle_isav,
-    oracle_reachable,
     oracle_rl_class,
 )
 from icmpscope.simnet import scenarios
