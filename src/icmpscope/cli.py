@@ -2,12 +2,12 @@
 
 Subcommands: simulate | discover | isav | reach | rl-classify | report.
 Configuration comes from an optional JSON file plus flag overrides. Every
-measuring step opens the same way (``_open_step``: config, output directory,
-transport, seed) and reads its own measurement parameters; ``isav`` and
-``reach`` record their verdicts through one resumable writer
-(``_record_verdicts``), so ``--resume`` skips the units already in the verdict
-file and the summary tables cover the whole file. Runs on the simulated
-backend reproduce byte for byte under a fixed seed.
+step opens the same way (``_open_step``: config, output directory, seed); a
+measuring step then makes its transport and reads its own measurement
+parameters. ``isav`` and ``reach`` record their verdicts through one
+resumable writer (``_record_verdicts``), so ``--resume`` skips the units
+already in the verdict file and the summary tables cover the whole file. Runs
+on the simulated backend reproduce byte for byte under a fixed seed.
 """
 
 from __future__ import annotations
@@ -140,14 +140,13 @@ def _make_transport(config: dict, args: argparse.Namespace):
     raise CliError(f"unknown backend: {backend}")
 
 
-def _open_step(args: argparse.Namespace, *, with_transport: bool = True):
-    """``(config, out, transport, seed)``: what every step opens with, in this
-    order, so the same bad input always gives the same first error."""
+def _open_step(args: argparse.Namespace):
+    """``(config, out, seed)``: what every step opens with, in this order, so
+    the same bad input always gives the same first error."""
     config = _load_config(args.config)
     out = Path(_setting(config, args, "out_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    transport = _make_transport(config, args) if with_transport else None
-    return config, out, transport, int(_setting(config, args, "seed", 0) or 0)
+    return config, out, int(_setting(config, args, "seed", 0) or 0)
 
 
 def _record_verdicts(path: Path, key: str, resume: bool, measure) -> list[dict]:
@@ -173,7 +172,7 @@ def _containing_48(addr) -> "IPv6Network":
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _config, out, _transport, seed = _open_step(args, with_transport=False)
+    _config, out, seed = _open_step(args)
     loss = args.loss if args.loss is not None else 0.0
     jitter = args.jitter if args.jitter is not None else 0.0
 
@@ -244,7 +243,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
-    config, out, transport, seed = _open_step(args)
+    config, out, seed = _open_step(args)
+    transport = _make_transport(config, args)
     prefixes = fileio.read_prefix_list(_input_path(config, args, "prefixes", required=True))
     if not prefixes:
         raise CliError("prefix list is empty")
@@ -289,7 +289,8 @@ def _isav_verdict_record(prefix, triple, verdict) -> dict:
 
 
 def cmd_isav(args: argparse.Namespace) -> int:
-    config, out, transport, seed = _open_step(args)
+    config, out, seed = _open_step(args)
+    transport = _make_transport(config, args)
     params = _build_params(config, args, "isav", {})
     # The supplemental pass can start from the hitlist alone.
     pairs_path = _input_path(config, args, "pairs", required=not args.supplemental)
@@ -392,7 +393,8 @@ def cmd_isav(args: argparse.Namespace) -> int:
 
 
 def cmd_reach(args: argparse.Namespace) -> int:
-    config, out, transport, seed = _open_step(args)
+    config, out, seed = _open_step(args)
+    transport = _make_transport(config, args)
     params = _build_params(config, args, "reach", {"repeats": 6, "lambda": 0.7})
 
     targets = fileio.read_address_list(_input_path(config, args, "targets", required=True))
@@ -464,7 +466,8 @@ def cmd_reach(args: argparse.Namespace) -> int:
 
 
 def cmd_rl_classify(args: argparse.Namespace) -> int:
-    config, out, transport, seed = _open_step(args)
+    config, out, seed = _open_step(args)
+    transport = _make_transport(config, args)
     params = _build_params(config, args, "rl_classify", {"repeats": 1})
     pairs = fileio.read_pairs(_input_path(config, args, "pairs", required=True))
     flat = [pair for plist in pairs.values() for pair in plist]

@@ -24,8 +24,8 @@ from icmpscope.model import IcmpKind, IcmpObservation
 from icmpscope.simnet.config import SimConfig
 from icmpscope.simnet.world import SimWorld
 
-DEFAULT_MAX_PPS_PER_PREFIX = 200
-DEFAULT_PACING_PREFIX_LEN = 48
+MAX_PPS_PER_PREFIX = 200
+PACING_PREFIX_LEN = 48
 
 
 class TransportError(Exception):
@@ -84,23 +84,24 @@ class CollectWindow:
             raise TransportError("window duration must be positive")
 
 
-def _check_rate_cap(plan: SendPlan, max_pps: int, prefix_len: int) -> None:
+def _check_rate_cap(plan: SendPlan) -> None:
     """Reject plans exceeding the per-destination-prefix packet rate.
 
     The cap is a hard courtesy limit: engines must bake compliant spacing into
     their plan offsets, because the transport never reshapes emission times.
     """
-    if len(plan.packets) <= max_pps:
-        return  # no prefix can hold more than max_pps packets
-    shift = 128 - prefix_len
+    cap = MAX_PPS_PER_PREFIX
+    if len(plan.packets) <= cap:
+        return  # no prefix can hold more than cap packets
+    shift = 128 - PACING_PREFIX_LEN
     per_prefix: dict[int, list[int]] = {}
     for offset, _src, dst, _pid in plan.packets:
         per_prefix.setdefault(dst >> shift, []).append(offset)
     for times in per_prefix.values():
-        for i in range(max_pps, len(times)):
-            if times[i] - times[i - max_pps] < 1000:
+        for i in range(cap, len(times)):
+            if times[i] - times[i - cap] < 1000:
                 raise TransportError(
-                    f"plan exceeds {max_pps} packets/s toward one /{prefix_len} prefix"
+                    f"plan exceeds {cap} packets/s toward one /{PACING_PREFIX_LEN} prefix"
                 )
 
 
@@ -112,17 +113,11 @@ class SimTransport:
     consecutive real bursts would.
     """
 
-    def __init__(
-        self,
-        cfg: SimConfig,
-        *,
-        max_pps_per_prefix: int = DEFAULT_MAX_PPS_PER_PREFIX,
-        pacing_prefix_len: int = DEFAULT_PACING_PREFIX_LEN,
-    ) -> None:
+    max_pps_per_prefix = MAX_PPS_PER_PREFIX
+
+    def __init__(self, cfg: SimConfig) -> None:
         self.world = SimWorld(cfg)
         self._source = cfg.prober
-        self.max_pps_per_prefix = max_pps_per_prefix
-        self.pacing_prefix_len = pacing_prefix_len
         self._now = 0
 
     @property
@@ -145,7 +140,7 @@ class SimTransport:
         Blocks (in simulated time) until the window closes; the transport
         clock then stands at the window close.
         """
-        _check_rate_cap(plan, self.max_pps_per_prefix, self.pacing_prefix_len)
+        _check_rate_cap(plan)
         base = self._now
         self.world.inject(base, plan.packets)
         close_at = base + max(window.duration_ms, plan.span_ms)
@@ -172,20 +167,18 @@ class RawTransport:
     ``execute`` always raises.
     """
 
+    max_pps_per_prefix = MAX_PPS_PER_PREFIX
+
     def __init__(
         self,
         interface: str,
         source_address: IPv6Address,
         *,
         allow_spoofing: bool = False,
-        max_pps_per_prefix: int = DEFAULT_MAX_PPS_PER_PREFIX,
-        pacing_prefix_len: int = DEFAULT_PACING_PREFIX_LEN,
     ) -> None:
         self.interface = interface
         self._source = source_address
         self.allow_spoofing = allow_spoofing
-        self.max_pps_per_prefix = max_pps_per_prefix
-        self.pacing_prefix_len = pacing_prefix_len
         self._now = 0
 
     @property
@@ -199,7 +192,7 @@ class RawTransport:
         raise TransportError("raw backend is not included in this build")
 
     def execute(self, plan: SendPlan, window: CollectWindow) -> list[IcmpObservation]:
-        _check_rate_cap(plan, self.max_pps_per_prefix, self.pacing_prefix_len)
+        _check_rate_cap(plan)
         if not self.allow_spoofing:
             source = int(self._source)
             for _offset, src, _dst, _pid in plan.packets:

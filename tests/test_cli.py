@@ -266,7 +266,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             f"assert main(['reach', '--config', {config!r}, '--repeats', '1']) == 0\n"
         )
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
-        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"PYTHONHASHSEED={hash_seed}:\n{proc.stderr}"
         # campaign.json holds the absolute output path, so it differs.
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "campaign.json"})
     assert "isav_verdicts.jsonl" in outputs[0] and "reach_eval.tsv" in outputs[0]
