@@ -2,12 +2,13 @@
 
 Subcommands: simulate | discover | isav | reach | rl-classify | report.
 Configuration comes from an optional JSON file plus flag overrides. Every
-step opens the same way (``_open_step``: config, output directory, seed); a
-measuring step then makes its transport and reads its own measurement
-parameters. ``isav`` and ``reach`` record their verdicts through one
-resumable writer (``_record_verdicts``), so ``--resume`` skips the units
-already in the verdict file and the summary tables cover the whole file. Runs
-on the simulated backend reproduce byte for byte under a fixed seed.
+step opens the same way (``_open_step``: config, checked against one table
+of known keys, output directory, seed); a measuring step then makes its
+transport and reads its own measurement parameters. ``isav`` and ``reach``
+record their verdicts through one resumable writer (``_record_verdicts``), so
+``--resume`` skips the units already in the verdict file and the summary
+tables cover the whole file. Runs on the simulated backend reproduce byte for
+byte under a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,21 +24,32 @@ from icmpscope import fileio
 from icmpscope.discovery import DiscoveryCaps, run_discovery
 from icmpscope.isav import (
     IsavCategory,
-    IsavVerdict,
-    RcvTriple,
     aggregate_as,
     run_isav_campaign,
     run_supplemental_echo,
     select_rvp,
 )
 from icmpscope.model import MeasurementParams, parse_address, parse_prefix
-from icmpscope.ratelimit import MeasureTarget, classify_limiters, pacer_for
+from icmpscope.ratelimit import MeasureTarget, classify_limiters, run_phased
 from icmpscope.reach import ReachCategory, ReachVerdict, evaluate, run_reach_campaign
 from icmpscope.simnet.config import SimConfig, oracle_rl_class
 from icmpscope.simnet import scenarios
 from icmpscope.transport import RawTransport, SimTransport, TransportError
 
 EVAL_LAMBDAS = [0.5, 0.6, 0.7, 0.8, 0.9]
+
+_PARAM_KEYS = ("n_probe", "m_noise", "lambda", "repeats", "receive_window_ms")
+# Every key a config file may hold: top-level settings, then each section's keys.
+_CONFIG_SETTINGS = ("backend", "sim_config", "out_dir", "seed", "interface", "source_address")
+_CONFIG_SECTIONS = {
+    "params": _PARAM_KEYS,
+    "isav": (*_PARAM_KEYS, "rvp_candidates"),
+    "reach": (*_PARAM_KEYS, "rvp_count"),
+    "rl_classify": _PARAM_KEYS,
+    "discovery": ("pair_cap", "probe_cap"),
+    "inputs": ("pairs", "prefixes", "as_map", "coords", "targets", "proxy_rvps", "reach_truth",
+               "hitlist", "isav_truth", "rl_truth"),
+}
 
 
 class CliError(Exception):
@@ -54,6 +66,23 @@ def _load_config(path: str | None) -> dict:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
+
+
+def _check_config(config, path: str | None) -> None:
+    """Refuse a config that is not an object, a section that is not an object,
+    and any key no step reads."""
+    if not isinstance(config, dict):
+        raise CliError(f"config file {path}: expected a JSON object")
+    for key, value in config.items():
+        if key in _CONFIG_SETTINGS:
+            continue
+        if key not in _CONFIG_SECTIONS:
+            raise CliError(f"config file {path}: unknown key '{key}'")
+        if not isinstance(value, dict):
+            raise CliError(f"config file {path}: '{key}' must be a JSON object")
+        for sub in value:
+            if sub not in _CONFIG_SECTIONS[key]:
+                raise CliError(f"config file {path}: unknown key '{key}.{sub}'")
 
 
 def _setting(config: dict, args: argparse.Namespace, key: str, default=None):
@@ -144,6 +173,7 @@ def _open_step(args: argparse.Namespace):
     """``(config, out, seed)``: what every step opens with, in this order, so
     the same bad input always gives the same first error."""
     config = _load_config(args.config)
+    _check_config(config, args.config)
     out = Path(_setting(config, args, "out_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     return config, out, int(_setting(config, args, "seed", 0) or 0)
@@ -175,23 +205,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _config, out, seed = _open_step(args)
     loss = args.loss if args.loss is not None else 0.0
     jitter = args.jitter if args.jitter is not None else 0.0
+    for flag, value, least in (("--count", args.count, 1), ("--cut", args.cut, 0)):
+        if value is not None and value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
+
+    def count(default: int) -> int:
+        return args.count if args.count is not None else default
 
     if args.preset == "demo":
         bundle = scenarios.build_demo(seed, loss=loss, jitter=jitter)
     elif args.preset == "isav":
-        bundle = scenarios.build_isav_population(
-            args.count or 200, seed, loss=loss, jitter=jitter
-        )
+        bundle = scenarios.build_isav_population(count(200), seed, loss=loss, jitter=jitter)
     elif args.preset == "rl":
-        bundle = scenarios.build_rl_population(args.count or 100, seed, loss=loss, jitter=jitter)
+        bundle = scenarios.build_rl_population(count(100), seed, loss=loss, jitter=jitter)
     elif args.preset == "reach":
-        bundle = scenarios.build_reach_population(
-            args.count or 1000, args.cut or 149, seed, loss=loss, jitter=jitter
-        )
+        cut = args.cut if args.cut is not None else 149
+        bundle = scenarios.build_reach_population(count(1000), cut, seed, loss=loss, jitter=jitter)
     elif args.preset == "discovery":
         bundle = scenarios.build_discovery_demo(seed)
     elif args.preset == "supplemental":
-        bundle = scenarios.build_supplemental_demo(args.count or 4, seed)
+        bundle = scenarios.build_supplemental_demo(count(4), seed)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown preset {args.preset}")
 
@@ -300,22 +333,22 @@ def cmd_isav(args: argparse.Namespace) -> int:
     hitlist = fileio.read_hitlist(hitlist_path) if hitlist_path is not None else {}
 
     def measure(done: set[str]):
-        prefix_rvps = {}
-        no_rvp = []
-        pacer = pacer_for(transport)
-        for prefix, plist in pairs.items():
-            if str(prefix) in done:
-                continue
-            scored = []
-            for pair in plist[:candidates_per_prefix]:
-                mt = MeasureTarget.from_pair(pair)
-                sample = pacer.measure(mt, params.n_probe, None, params.receive_window_ms)
-                scored.append((pair, float(sample.rcv)))
-            chosen = select_rvp(scored, params.n_probe)
-            if chosen is None:
-                no_rvp.append(prefix)
-            else:
-                prefix_rvps[prefix] = chosen
+        # One no-noise burst per candidate pair, prefix by prefix, scores the RVPs.
+        candidates = [
+            (prefix, pair)
+            for prefix, plist in pairs.items()
+            if str(prefix) not in done
+            for pair in plist[:candidates_per_prefix]
+        ]
+
+        def burst_for(candidate, _phase):
+            return MeasureTarget.from_pair(candidate[1]), params.n_probe, None
+
+        scored: dict = {}
+        bursts = run_phased(candidates, (1,), 1, burst_for, transport, params.receive_window_ms)
+        for (prefix, pair), _phase, sample in bursts:
+            scored.setdefault(prefix, []).append((pair, float(sample.rcv)))
+        prefix_rvps = {prefix: select_rvp(scores, params.n_probe) for prefix, scores in scored.items()}
 
         campaign = run_isav_campaign(
             prefix_rvps, params, transport, transport.source_address, seed=seed
@@ -339,8 +372,6 @@ def cmd_isav(args: argparse.Namespace) -> int:
                 )
                 results.update(updates)
 
-        for prefix in no_rvp:
-            results[prefix] = (RcvTriple(), IsavVerdict(IsavCategory.UNCERTAIN, "no_rvp", None, None))
         return (_isav_verdict_record(prefix, triple, verdict) for prefix, (triple, verdict) in results.items())
 
     verdict_path = out / "isav_verdicts.jsonl"

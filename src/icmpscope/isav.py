@@ -17,7 +17,7 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import Mapping, Sequence
 
 from icmpscope.model import DataPair, IcmpKind, MeasurementParams, spoof_sources
-from icmpscope.ratelimit import MeasureTarget, NoiseSpec, RcvSample, pacer_for, run_phased
+from icmpscope.ratelimit import MeasureTarget, NoiseSpec, RcvSample, measure_rcv, run_phased
 
 SUPPLEMENTAL_PACKETS = 500  # probe and noise count for the echo-reply mode
 
@@ -189,7 +189,6 @@ def run_supplemental_echo(
     echo-reply limiting needs before it becomes observable. Prefixes whose
     responders show no limiting simply stay uncertain.
     """
-    pacer = pacer_for(transport)
     responders: dict[IPv6Network, MeasureTarget] = {}
     for prefix, pair in uncertain_rvps.items():
         candidates: list[IPv6Address] = []
@@ -197,9 +196,10 @@ def run_supplemental_echo(
             candidates.append(pair.periphery)
         candidates.extend(extra_targets.get(prefix, ()))
         for candidate in candidates:
-            echo = MeasureTarget(target=candidate, origin=candidate, kind=IcmpKind.ECHO_REPLY)
-            if pacer.measure(echo, 1, None, params.receive_window_ms).rcv > 0:
-                responders[prefix] = echo
+            sample = measure_rcv(candidate, IcmpKind.ECHO_REPLY, 1, None, transport,
+                                 expect_origin=candidate, receive_window_ms=params.receive_window_ms)
+            if sample.rcv > 0:
+                responders[prefix] = MeasureTarget(candidate, candidate, IcmpKind.ECHO_REPLY)
                 break
 
     echo_params = replace(params, n_probe=SUPPLEMENTAL_PACKETS, m_noise=SUPPLEMENTAL_PACKETS)

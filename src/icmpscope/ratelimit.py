@@ -4,20 +4,23 @@ A measurement sends n probe packets (optionally with m spoofed-source noise
 packets interleaved evenly among them) and counts how many matching replies
 the prober gets back. Comparing the count with and without noise is what
 distinguishes global, strict, loose, and unclassifiable rate limiting.
+
+Every burst keeps a quiet gap per node: ``pace`` waits out the gap since the
+node's last burst ended, as recorded in the transport's ``burst_end`` table,
+so every engine and step run over one transport shares it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import weakref
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 from typing import Callable, Collection, Iterator, Sequence, TypeVar
 
 from icmpscope.model import DataPair, IcmpKind, IcmpObservation, MeasurementParams, spoof_sources
 from icmpscope.simnet.config import RateLimitClass
-from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan
+from icmpscope.transport import MAX_PPS_PER_PREFIX, CollectWindow, ObservationFilter, SendPlan
 
 DEFAULT_BURST_GAP_MS = 2000
 RECEIVE_WINDOW_MS = 1000
@@ -41,64 +44,23 @@ class NoiseSpec:
     spoof_src: IPv6Address
 
 
-class BurstPacer:
-    """Enforces a minimum quiet gap between bursts aimed at the same node."""
-
-    def __init__(self, transport) -> None:
-        # Weak: pacer_for stores the pacer on the transport, and a cycle would outlive the run.
-        self._transport = weakref.proxy(transport)
-        self._last_end: dict[IPv6Address, int] = {}
-
-    def pace(self, key: IPv6Address, gap_ms: int = DEFAULT_BURST_GAP_MS) -> None:
-        """Wait until ``gap_ms`` has passed since the last burst at ``key`` ended."""
-        last = self._last_end.get(key)
-        if last is not None:
-            earliest = last + gap_ms
-            now = self._transport.now()
-            if now < earliest:
-                self._transport.wait(earliest - now)
-
-    def mark(self, key: IPv6Address) -> None:
-        self._last_end[key] = self._transport.now()
-
-    def execute(
-        self, key: IPv6Address, plan: SendPlan, window: CollectWindow
-    ) -> list[IcmpObservation]:
-        """Send ``plan`` once ``key``'s quiet gap has passed, then restart the gap."""
-        self.pace(key)
-        observations = self._transport.execute(plan, window)
-        self.mark(key)
-        return observations
-
-    def measure(
-        self, mt: MeasureTarget, n: int, noise: NoiseSpec | None, receive_window_ms: int
-    ) -> RcvSample:
-        """One burst toward ``mt``, sent once the node's quiet gap has passed.
-
-        The node is the expected reply origin, or the target itself when no
-        origin is expected; the gap restarts when the burst's window closes.
-        """
-        key = mt.origin if mt.origin is not None else mt.target
-        self.pace(key)
-        sample = measure_rcv(
-            mt.target,
-            mt.kind,
-            n,
-            noise,
-            self._transport,
-            expect_origin=mt.origin,
-            receive_window_ms=receive_window_ms,
-        )
-        self.mark(key)
-        return sample
+def pace(transport, key: IPv6Address, gap_ms: int = DEFAULT_BURST_GAP_MS) -> None:
+    """Wait until ``gap_ms`` has passed since the last burst at ``key`` ended."""
+    last = transport.burst_end.get(key)
+    if last is not None:
+        wait_ms = last + gap_ms - transport.now()
+        if wait_ms > 0:
+            transport.wait(wait_ms)
 
 
-def pacer_for(transport) -> BurstPacer:
-    """The transport's one pacer, kept as ``transport.pacer`` from first use,
-    so every engine run over one transport shares each node's quiet gap."""
-    if getattr(transport, "pacer", None) is None:
-        transport.pacer = BurstPacer(transport)
-    return transport.pacer
+def paced_execute(
+    transport, key: IPv6Address, plan: SendPlan, window: CollectWindow
+) -> list[IcmpObservation]:
+    """Send ``plan`` once ``key``'s quiet gap has passed, then restart the gap."""
+    pace(transport, key)
+    observations = transport.execute(plan, window)
+    transport.burst_end[key] = transport.now()
+    return observations
 
 
 def run_phased(
@@ -113,19 +75,19 @@ def run_phased(
 
     Yields ``(unit, phase, sample)`` in send order. Ordering by phase means no
     node is hit twice in a row while other units still have work pending,
-    and the transport's pacer keeps a quiet gap per node regardless.
+    and each burst keeps its node's quiet gap regardless (see ``measure_rcv``).
     ``burst_for(unit, phase)`` returns the burst's target, probe count and
     noise; it is called just before that burst is sent, so any random draws
     it makes follow the send order. Equal samples are yielded as one shared
     object, so callers that keep them hold one per distinct count.
     """
-    pacer = pacer_for(transport)
     shared: dict[RcvSample, RcvSample] = {}
     for _round in range(repeats):
         for phase in phases:
             for unit in units:
                 mt, n, noise = burst_for(unit, phase)
-                sample = pacer.measure(mt, n, noise, receive_window_ms)
+                sample = measure_rcv(mt.target, mt.kind, n, noise, transport,
+                                     expect_origin=mt.origin, receive_window_ms=receive_window_ms)
                 yield unit, phase, shared.setdefault(sample, sample)
 
 
@@ -143,15 +105,6 @@ def interleave_pattern(n_probe: int, m_noise: int) -> list[bool]:
     return slots
 
 
-def _burst_spacing(transport, total_packets: int) -> int:
-    """Packet spacing of a burst: 1 ms, widened when the burst would exceed the
-    transport's per-prefix rate cap (the transport rejects rather than reshapes)."""
-    cap = getattr(transport, "max_pps_per_prefix", None)
-    if cap and total_packets > cap:
-        return math.ceil(1000 / cap)
-    return 1
-
-
 def measure_rcv(
     rvp_target: IPv6Address,
     kind: IcmpKind,
@@ -167,9 +120,14 @@ def measure_rcv(
     For error kinds the target is an unreachable address and replies are
     matched on (kind, origin, quoted target, probe id); for echo replies the
     target is the responder itself. Zero replies is a result, not an error.
+    The burst is sent once its node's quiet gap has passed, and the gap
+    restarts when its window closes; the node is ``expect_origin``, or the
+    target itself when no origin is expected.
     """
     m = noise.m if noise is not None else 0
-    spacing = _burst_spacing(transport, n + m)
+    # Packets go 1 ms apart, widened when the burst would exceed the per-prefix
+    # rate cap (the transport rejects rather than reshapes).
+    spacing = math.ceil(1000 / MAX_PPS_PER_PREFIX) if n + m > MAX_PPS_PER_PREFIX else 1
     src = int(transport.source_address)
     spoof = int(noise.spoof_src) if noise is not None else None
     dst = int(rvp_target)
@@ -190,7 +148,8 @@ def measure_rcv(
             probe_ids=frozenset(probe_ids),
         ),
     )
-    observations = transport.execute(plan, window)
+    key = expect_origin if expect_origin is not None else rvp_target
+    observations = paced_execute(transport, key, plan, window)
     return RcvSample(rcv=len(observations), n_sent=n, with_noise=noise is not None, m_noise=m)
 
 

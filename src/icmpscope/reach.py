@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from icmpscope.model import DataPair, IcmpKind, MeasurementParams
-from icmpscope.ratelimit import MeasureTarget, RcvSample, pacer_for
+from icmpscope.ratelimit import RcvSample, measure_rcv, pace, paced_execute
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan
 
 LIGHT_SPEED_KM_PER_MS = 300.0
@@ -169,10 +169,9 @@ def run_reach_protocol(
     the second probe train. Both bursts keep the vantage point's quiet gap.
     """
     x = int(rvp.target)
-    pacer = pacer_for(transport)
     if baseline is None:
-        mt = MeasureTarget.from_pair(rvp)
-        baseline = pacer.measure(mt, params.n_probe, None, params.receive_window_ms)
+        baseline = measure_rcv(rvp.target, rvp.error_kind, params.n_probe, None, transport,
+                               expect_origin=rvp.periphery, receive_window_ms=params.receive_window_ms)
     if baseline.rcv == 0:
         # Unusable vantage point for this target; skip the reflection burst.
         return baseline, RcvSample(0, params.n_probe, True, params.m_noise)
@@ -197,7 +196,7 @@ def run_reach_protocol(
             probe_ids=frozenset(range(m + 1, m + n + 1)),
         ),
     )
-    observations = pacer.execute(rvp.periphery, plan, window)
+    observations = paced_execute(transport, rvp.periphery, plan, window)
     return baseline, RcvSample(len(observations), params.n_probe, True, params.m_noise)
 
 
@@ -278,7 +277,6 @@ def run_reach_campaign(
         estimate_fn = geo_estimator(geo, random.Random(seed))
 
     rvp_states = [_RvpState(pair) for pair in proxy_rvps]
-    pacer = pacer_for(transport)
     records = {t: ReachRecord(t) for t in targets}
     # One tuple per distinct (rcv1, rcv2): both counts are at most n_probe.
     shared: dict[tuple[int, int], tuple[int, int]] = {}
@@ -296,7 +294,7 @@ def run_reach_campaign(
             run_index += 1
             rvp_addr = state.pair.periphery
             # The reuse interval, like the quiet gap, runs from the RVP's last burst.
-            pacer.pace(rvp_addr, rotation_gap_ms)
+            pace(transport, rvp_addr, rotation_gap_ms)
 
             if state.rtt_a is None:
                 state.rtt_a = _ping_rtt(transport, rvp_addr, params.receive_window_ms)

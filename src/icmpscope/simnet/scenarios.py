@@ -32,6 +32,9 @@ _IDX_REACH_RVPS = 0x8000
 
 _DEAD_SUFFIX = 0xABCD  # the never-assigned host used as the unreachable target
 
+_REACH_RVPS = 3  # vantage-point routers in the reach cluster
+_REACH_MIN_TARGET_RVP_KM = 1500.0  # every target sits at least this far from the cluster
+
 
 def _prefix48(idx: int) -> IPv6Network:
     return IPv6Network((_DOC_BASE | (idx << 80), 48))
@@ -79,12 +82,9 @@ def build_isav_population(
     loss: float = 0.0,
     jitter: float = 0.0,
     cap_range: tuple[int, int] = (9, 15),
-    refill_range_ms: tuple[int, int] = (100, 300),
-    deployed_fraction: float = 0.5,
-    prefixes_per_as: int = 4,
-    start_idx: int = _IDX_ISAV,
 ) -> ScenarioBundle:
-    """Prefixes behind moderate global token buckets, ISAV on a random subset.
+    """Prefixes behind moderate global token buckets (refilling every 100-300
+    ms), ISAV on a random half.
 
     The default capacity floor of 9 keeps every noise-suppressed reply ratio
     strictly below one half at zero loss (burst pattern share plus at most one
@@ -93,15 +93,15 @@ def build_isav_population(
     rng = random.Random(f"isav-{seed}")
     routers, links, pairs, as_map, coords = [], {}, {}, {}, []
     for i in range(n_prefixes):
-        idx = start_idx + i
+        idx = _IDX_ISAV + i
         prefix = _prefix48(idx)
         addr = _router_addr(idx)
         routers.append(
             SimRouter(
                 address=addr,
                 served_prefix=prefix,
-                limiter=TokenBucket(rng.randint(*cap_range), rng.randint(*refill_range_ms)),
-                isav_ingress=rng.random() < deployed_fraction,
+                limiter=TokenBucket(rng.randint(*cap_range), rng.randint(100, 300)),
+                isav_ingress=rng.random() < 0.5,
             )
         )
         site_coords = (rng.uniform(-55.0, 55.0), rng.uniform(-175.0, 175.0))
@@ -110,7 +110,7 @@ def build_isav_population(
             _owd_ms(PROBER_COORDS, site_coords), jitter, loss
         )
         pairs[prefix] = [DataPair(target=_dead_addr(idx), periphery=addr)]
-        as_map[prefix] = 64500 + i // prefixes_per_as
+        as_map[prefix] = 64500 + i // 4  # four prefixes per AS
 
     cfg = SimConfig(
         prober=PROBER_ADDRESS, routers=routers, links=links, seed=rng.getrandbits(64)
@@ -128,7 +128,6 @@ def build_rl_population(
     *,
     loss: float = 0.0,
     jitter: float = 0.0,
-    start_idx: int = _IDX_RL,
 ) -> ScenarioBundle:
     """Equal thirds of global token buckets, single-message limiters, and
     completely unlimited routers."""
@@ -140,7 +139,7 @@ def build_rl_population(
         + [lambda: Unlimited()] * per_class
     )
     for i, make_spec in enumerate(specs):
-        idx = start_idx + i
+        idx = _IDX_RL + i
         prefix = _prefix48(idx)
         addr = _router_addr(idx)
         routers.append(SimRouter(address=addr, served_prefix=prefix, limiter=make_spec()))
@@ -164,10 +163,6 @@ def build_reach_population(
     *,
     loss: float = 0.0,
     jitter: float = 0.0,
-    n_rvps: int = 3,
-    min_target_rvp_km: float = 1500.0,
-    target_start_idx: int = _IDX_REACH_TARGETS,
-    rvp_start_idx: int = _IDX_REACH_RVPS,
 ) -> ScenarioBundle:
     """Echo-responding targets worldwide plus a small cluster of vantage-point
     routers; a chosen subset of targets gets directed cut edges toward the
@@ -183,8 +178,8 @@ def build_reach_population(
     rvp_dead: list[IPv6Address] = []
     proxy_rvps: list[DataPair] = []
     rvp_coords: list[tuple[float, float]] = []
-    for j in range(n_rvps):
-        idx = rvp_start_idx + j
+    for j in range(_REACH_RVPS):
+        idx = _IDX_REACH_RVPS + j
         prefix = _prefix48(idx)
         addr = _router_addr(idx)
         dead = _dead_addr(idx)
@@ -204,7 +199,7 @@ def build_reach_population(
     reach_truth: dict[IPv6Address, bool] = {}
     target_router: dict[IPv6Address, IPv6Address] = {}
     for i in range(n_targets):
-        idx = target_start_idx + i
+        idx = _IDX_REACH_TARGETS + i
         prefix = _prefix48(idx)
         addr = _router_addr(idx)
         b = _host_addr(idx, 1)
@@ -212,7 +207,7 @@ def build_reach_population(
         hosts.append(SimHost(address=b))
         while True:
             site = (rng.uniform(-55.0, 55.0), rng.uniform(-175.0, 175.0))
-            if haversine_km(site[0], site[1], cluster[0], cluster[1]) >= min_target_rvp_km:
+            if haversine_km(site[0], site[1], cluster[0], cluster[1]) >= _REACH_MIN_TARGET_RVP_KM:
                 break
         coords.append((prefix, site[0], site[1]))
         links[link_key(PROBER_ADDRESS, addr)] = LinkModel(_owd_ms(PROBER_COORDS, site), jitter, loss)
@@ -220,7 +215,7 @@ def build_reach_population(
             links[link_key(addr, rvp_addr)] = LinkModel(_owd_ms(site, rvp_coords[j]), jitter, loss)
         unconnected = i in cut_indices
         if unconnected:
-            for j in range(n_rvps):
+            for j in range(_REACH_RVPS):
                 cuts.add((prefix, rvp_dead[j]))
                 cuts.add((prefix, rvp_addrs[j]))
         reach_targets.append(b)
@@ -245,27 +240,21 @@ def build_reach_population(
         reach_truth=reach_truth,
         proxy_rvps=proxy_rvps,
         target_router=target_router,
-        pairs={_prefix48(rvp_start_idx + j): [p] for j, p in enumerate(proxy_rvps)},
+        pairs={_prefix48(_IDX_REACH_RVPS + j): [p] for j, p in enumerate(proxy_rvps)},
     )
 
 
-def build_discovery_demo(
-    seed: int = 0,
-    *,
-    rich_hosts: int = 60,
-    rich_idx: int = _IDX_DISCOVERY,
-    silent_idx: int = _IDX_DISCOVERY + 1,
-) -> ScenarioBundle:
+def build_discovery_demo(seed: int = 0) -> ScenarioBundle:
     """One prefix that answers every probe with an error and one prefix that
     does not exist at all, for exercising both stop conditions."""
     rng = random.Random(f"discovery-{seed}")
-    rich_prefix = _prefix48(rich_idx)
-    silent_prefix = _prefix48(silent_idx)
-    addr = _router_addr(rich_idx)
+    rich_prefix = _prefix48(_IDX_DISCOVERY)
+    silent_prefix = _prefix48(_IDX_DISCOVERY + 1)
+    addr = _router_addr(_IDX_DISCOVERY)
     router = SimRouter(address=addr, served_prefix=rich_prefix, limiter=Unlimited())
-    # Declared-but-silent machines inside the rich subnet; random targets are
-    # astronomically unlikely to collide with them.
-    hosts = [SimHost(_host_addr(rich_idx, n), responds_to_echo=False) for n in range(rich_hosts)]
+    # Sixty declared-but-silent machines inside the rich subnet; random targets
+    # are astronomically unlikely to collide with them.
+    hosts = [SimHost(_host_addr(_IDX_DISCOVERY, n), responds_to_echo=False) for n in range(60)]
     links = {link_key(PROBER_ADDRESS, addr): LinkModel(20.0)}
     cfg = SimConfig(
         prober=PROBER_ADDRESS,
@@ -282,12 +271,7 @@ def build_discovery_demo(
     )
 
 
-def build_supplemental_demo(
-    n_prefixes: int = 4,
-    seed: int = 0,
-    *,
-    start_idx: int = _IDX_SUPPLEMENTAL,
-) -> ScenarioBundle:
+def build_supplemental_demo(n_prefixes: int = 4, seed: int = 0) -> ScenarioBundle:
     """Prefixes where discovery finds no usable data pair (so the error-based
     campaign cannot decide them) but a hitlist responder exists whose
     echo-reply limiting becomes observable at n = m = 500. The last prefix's
@@ -297,7 +281,7 @@ def build_supplemental_demo(
     rng = random.Random(f"supplemental-{seed}")
     routers, links, hitlist = [], {}, {}
     for i in range(n_prefixes):
-        idx = start_idx + i
+        idx = _IDX_SUPPLEMENTAL + i
         prefix = _prefix48(idx)
         addr = _router_addr(idx)
         unlimited = i == n_prefixes - 1

@@ -110,29 +110,28 @@ class SimTransport:
 
     The world's limiter states, in-flight packets, and clock survive across
     ``execute`` calls, so consecutive measurements interact exactly the way
-    consecutive real bursts would.
+    consecutive real bursts would. The world's clock is the transport's clock,
+    and ``burst_end`` (when each node's last burst ended, kept by
+    ``ratelimit``) lives here too, so a transport pickles whole.
     """
-
-    max_pps_per_prefix = MAX_PPS_PER_PREFIX
 
     def __init__(self, cfg: SimConfig) -> None:
         self.world = SimWorld(cfg)
         self._source = cfg.prober
-        self._now = 0
+        self.burst_end: dict[IPv6Address, int] = {}
 
     @property
     def source_address(self) -> IPv6Address:
         return self._source
 
     def now(self) -> int:
-        return self._now
+        return self.world.clock
 
     def wait(self, duration_ms: int) -> None:
         """Idle for ``duration_ms``, letting in-flight traffic progress."""
         if duration_ms < 0:
             raise TransportError("cannot wait a negative duration")
-        self._now += duration_ms
-        self.world.run_until(self._now)
+        self.world.run_until(self.world.clock + duration_ms)
 
     def execute(self, plan: SendPlan, window: CollectWindow) -> list[IcmpObservation]:
         """Emit the plan at exact offsets and return matching observations.
@@ -141,11 +140,10 @@ class SimTransport:
         clock then stands at the window close.
         """
         _check_rate_cap(plan)
-        base = self._now
+        base = self.world.clock
         self.world.inject(base, plan.packets)
         close_at = base + max(window.duration_ms, plan.span_ms)
         self.world.run_until(close_at)
-        self._now = close_at
         out = []
         flt = window.obs_filter
         for obs in self.world.drain_observations():
@@ -167,8 +165,6 @@ class RawTransport:
     ``execute`` always raises.
     """
 
-    max_pps_per_prefix = MAX_PPS_PER_PREFIX
-
     def __init__(
         self,
         interface: str,
@@ -180,6 +176,7 @@ class RawTransport:
         self._source = source_address
         self.allow_spoofing = allow_spoofing
         self._now = 0
+        self.burst_end: dict[IPv6Address, int] = {}
 
     @property
     def source_address(self) -> IPv6Address:

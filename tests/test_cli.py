@@ -163,6 +163,25 @@ def test_cli_steps_leave_no_cyclic_garbage(tmp_path):
     assert gc.collect() == 0
 
 
+def test_rl_classify_on_the_raw_backend_fails_with_the_transport_error(tmp_path, capsys):
+    """The first burst paces against the raw stub's own gap table and clock,
+    then the stub refuses to send."""
+    out = simulate_demo(tmp_path)
+    config = tmp_path / "raw.json"
+    config.write_text(json.dumps({
+        "backend": "raw",
+        "interface": "eth0",
+        "source_address": "2001:db8:ffff::1",
+        "out_dir": str(out),
+        "inputs": {"pairs": str(out / "pairs.jsonl")},
+    }))
+    capsys.readouterr()
+    assert run_cli("rl-classify", "--config", str(config), "--acknowledge-spoofing") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: raw backend is not included in this build; it requires raw")
+    assert not (out / "rl_classes.jsonl").exists()
+
+
 def test_reach_resume_keeps_the_evaluation_tables(tmp_path):
     out = simulate_demo(tmp_path)
     config = str(out / "campaign.json")
@@ -239,6 +258,57 @@ def test_config_validation_failures(tmp_path):
     # unknown sim config path
     assert run_cli("isav", "--pairs", str(out / "pairs.jsonl"),
                    "--sim-config", str(out / "missing.json"), "--out", str(out)) == 1
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: {**c, "reach": {"rotation_gap_ms": 5, "repeats": 1}}, "'reach.rotation_gap_ms'"),
+        (lambda c: {**c, "rate_cap": {"max_pps_per_prefix": 1}}, "'rate_cap'"),
+        (lambda c: {**c, "reach": [1]}, "'reach' must be a JSON object"),
+        (lambda c: [c], "expected a JSON object"),
+    ],
+    ids=["removed-key", "unknown-section", "section-not-object", "array"],
+)
+def test_config_files_hold_only_known_keys(tmp_path, capsys, edit, named):
+    out = simulate_demo(tmp_path)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(json.loads((out / "campaign.json").read_text()))))
+    capsys.readouterr()
+    assert run_cli("reach", "--config", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path}: ") and named in err
+    assert not (out / "reach_verdicts.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--preset", "isav", "--count", "0"], "--count must be at least 1, got 0"),
+        (["--preset", "isav", "--count", "-3"], "--count must be at least 1, got -3"),
+        (["--preset", "reach", "--count", "50", "--cut", "-1"], "--cut must be at least 0, got -1"),
+    ],
+    ids=["count-0", "count-negative", "cut-negative"],
+)
+def test_simulate_refuses_sizes_below_their_floor(tmp_path, capsys, argv, message):
+    capsys.readouterr()
+    assert run_cli("simulate", *argv, "--out", str(tmp_path / "sim")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "preset, argv, sizes",
+    [
+        ("isav", ["--count", "1"], "routers=1 hosts=0 links=1 cuts=0\n"),
+        ("reach", ["--count", "50", "--cut", "0"], "routers=53 hosts=50 links=203 cuts=0\n"),
+    ],
+    ids=["isav", "reach"],
+)
+def test_simulate_takes_its_smallest_sizes_as_given(tmp_path, capsys, preset, argv, sizes):
+    out = tmp_path / "sim"
+    capsys.readouterr()
+    assert run_cli("simulate", "--preset", preset, *argv, "--out", str(out)) == 0
+    assert sizes in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, flag", [("reach", "--rvp-count"), ("isav", "--rvp-candidates")])

@@ -1,3 +1,4 @@
+import pickle
 import random
 import weakref
 
@@ -7,13 +8,13 @@ from oracles import burst_probe_grants, replay_token_bucket, sufficiency_sweep
 
 from icmpscope.model import IcmpKind, parse_address, spoof_sources
 from icmpscope.ratelimit import (
+    DEFAULT_BURST_GAP_MS,
     MeasureTarget,
     NoiseSpec,
     classify,
     interleave_pattern,
     measure_rcv,
     observability,
-    pacer_for,
     ratio_sweep,
     run_phased,
     split_counts,
@@ -25,13 +26,38 @@ from icmpscope.transport import SimTransport
 from test_simnet import DEAD, ROUTER, star_config
 
 
-def test_pacer_for_keeps_one_pacer_per_transport_without_a_cycle():
+def test_a_paced_transport_is_freed_without_a_cycle():
     tp = SimTransport(star_config(Unlimited()))
-    pacer = pacer_for(tp)
-    assert pacer_for(tp) is pacer and tp.pacer is pacer
+    measure_rcv(DEAD, IcmpKind.DEST_UNREACHABLE, 5, None, tp, expect_origin=ROUTER)
+    assert tp.burst_end == {ROUTER: tp.now()}
     freed = weakref.ref(tp)
     del tp
-    assert freed() is None  # reference counting alone frees it, pacer or not
+    assert freed() is None  # reference counting alone frees it
+
+
+def test_a_pickled_transport_continues_like_the_original():
+    """The quiet-gap table, the clock and the world's draw counters all travel
+    with the transport, so a copy taken mid-campaign sends its next burst
+    exactly as the original does."""
+    bundle = scenarios.build_rl_population(1, seed=5)
+    tp = SimTransport(bundle.cfg)
+    targets = [MeasureTarget.from_pair(plist[0]) for plist in bundle.pairs.values()]
+
+    def bursts(transport, units):
+        phased = run_phased(units, (1,), 1, lambda i, _phase: (targets[i], 50, None), transport, 1000)
+        return [sample for _i, _phase, sample in phased]
+
+    bursts(tp, [0, 1])
+    copy = pickle.loads(pickle.dumps(tp))
+    after = []
+    for transport in (tp, copy):
+        last_end = transport.burst_end[targets[0].origin]
+        assert transport.now() < last_end + DEFAULT_BURST_GAP_MS
+        sample = bursts(transport, [0])[0]
+        # The burst waited out the quiet gap, then spanned 49 ms plus its 1 s window.
+        assert transport.now() == last_end + DEFAULT_BURST_GAP_MS + 1049
+        after.append((sample, transport.now(), transport.world._uid, transport.world._seq))
+    assert after[0] == after[1]
 
 
 def test_interleave_pattern_two_noise_per_probe():

@@ -9,6 +9,7 @@ from icmpscope.model import IcmpKind, parse_address
 from icmpscope.ratelimit import measure_rcv
 from icmpscope.simnet import TokenBucket, Unlimited
 from icmpscope.transport import (
+    MAX_PPS_PER_PREFIX,
     CollectWindow,
     ObservationFilter,
     RawTransport,
@@ -82,7 +83,7 @@ def test_rate_cap_accepts_compliant_spacing():
 
 def test_rate_cap_boundary_within_one_millisecond():
     tp = make_transport()
-    cap = tp.max_pps_per_prefix
+    cap = MAX_PPS_PER_PREFIX
     tp.execute(SendPlan(tuple(burst(DEAD, cap, spacing=0))), CollectWindow(duration_ms=1000))
     other = parse_address("2001:db8:1:ffff::1")  # same /48 as DEAD
     plan = SendPlan(tuple(burst(DEAD, cap, spacing=0) + burst(other, 1, pid_start=cap + 1)))
