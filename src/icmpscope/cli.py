@@ -2,13 +2,14 @@
 
 Subcommands: simulate | discover | isav | reach | rl-classify | report.
 Configuration comes from an optional JSON file plus flag overrides. Every
-step opens the same way (``_open_step``: config, checked against one table
-of known keys, output directory, seed); a measuring step then makes its
-transport and reads its own measurement parameters. ``isav`` and ``reach``
-record their verdicts through one resumable writer (``_record_verdicts``), so
-``--resume`` skips the units already in the verdict file and the summary
-tables cover the whole file. Runs on the simulated backend reproduce byte for
-byte under a fixed seed.
+step opens the same way (``_open_step``: config, checked once against one
+table that gives every key its kind, output directory, seed) and reads each
+setting through one lookup (``_setting``). A relative path resolves against
+its config file's directory, or for a flag the working directory. ``isav``
+and ``reach`` record their verdicts through one resumable writer
+(``_record_verdicts``), so ``--resume`` skips the units already in the
+verdict file and the summary tables cover the whole file. Runs on the
+simulated backend reproduce byte for byte under a fixed seed.
 """
 
 from __future__ import annotations
@@ -38,102 +39,104 @@ from icmpscope.transport import RawTransport, SimTransport, TransportError
 
 EVAL_LAMBDAS = [0.5, 0.6, 0.7, 0.8, 0.9]
 
-_PARAM_KEYS = ("n_probe", "m_noise", "lambda", "repeats", "receive_window_ms")
-# Every key a config file may hold: top-level settings, then each section's keys.
-_CONFIG_SETTINGS = ("backend", "sim_config", "out_dir", "seed", "interface", "source_address")
-_CONFIG_SECTIONS = {
-    "params": _PARAM_KEYS,
-    "isav": (*_PARAM_KEYS, "rvp_candidates"),
-    "reach": (*_PARAM_KEYS, "rvp_count"),
-    "rl_classify": _PARAM_KEYS,
-    "discovery": ("pair_cap", "probe_cap"),
-    "inputs": ("pairs", "prefixes", "as_map", "coords", "targets", "proxy_rvps", "reach_truth",
-               "hitlist", "isav_truth", "rl_truth"),
+_PARAM_KINDS = {"n_probe": int, "m_noise": int, "lambda": float, "repeats": int, "receive_window_ms": int}
+# Every key a config file may hold, by its kind: int, float, str, Path (a
+# relative path is joined onto the config file's directory) or a tuple of
+# choices. A nested table is a section.
+_CONFIG_KEYS = {
+    "backend": ("sim", "raw"),
+    "sim_config": Path,
+    "out_dir": Path,
+    "seed": int,
+    "interface": str,
+    "source_address": str,
+    "params": _PARAM_KINDS,
+    "isav": {**_PARAM_KINDS, "rvp_candidates": int},
+    "reach": {**_PARAM_KINDS, "rvp_count": int},
+    "rl_classify": _PARAM_KINDS,
+    "discovery": {"pair_cap": int, "probe_cap": int},
+    "inputs": dict.fromkeys(("pairs", "prefixes", "as_map", "coords", "targets", "proxy_rvps",
+                             "reach_truth", "hitlist", "isav_truth", "rl_truth"), Path),
 }
+# The JSON types each scalar kind takes, matched by ``type()``: a JSON true is a
+# bool, and a bool is no int.
+_KIND_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), Path: ((str,), "a path string")}
 
 
 class CliError(Exception):
     """Configuration or input problem; maps to a nonzero exit."""
 
 
+def _checked(value, kind, key: str, path: str, base: Path):
+    """``value`` if it is of ``kind``, a relative path joined onto ``base``;
+    ``key`` is its dotted name in the config file at ``path`` (empty for the
+    whole file)."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            what = f"'{key}' must be a JSON object" if key else "expected a JSON object"
+            raise CliError(f"config file {path}: {what}")
+        checked = {}
+        for sub, item in value.items():
+            dotted = f"{key}.{sub}" if key else sub
+            if sub not in kind:
+                raise CliError(f"config file {path}: unknown key '{dotted}'")
+            checked[sub] = _checked(item, kind[sub], dotted, path, base)
+        return checked
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        wanted = "one of " + ", ".join(map(json.dumps, kind))
+    else:
+        types, wanted = _KIND_TYPES[kind]
+        if type(value) in types:
+            return base / value if kind is Path else value
+    raise CliError(f"config file {path}: '{key}' must be {wanted}, got {json.dumps(value)}")
+
+
 def _load_config(path: str | None) -> dict:
+    """The config file at ``path`` (none: empty), checked against ``_CONFIG_KEYS``."""
     if path is None:
         return {}
     p = Path(path)
     if not p.is_file():
         raise CliError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        config = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
+    return _checked(config, _CONFIG_KEYS, "", path, p.parent)
 
 
-def _check_config(config, path: str | None) -> None:
-    """Refuse a config that is not an object, a section that is not an object,
-    and any key no step reads."""
-    if not isinstance(config, dict):
-        raise CliError(f"config file {path}: expected a JSON object")
-    for key, value in config.items():
-        if key in _CONFIG_SETTINGS:
-            continue
-        if key not in _CONFIG_SECTIONS:
-            raise CliError(f"config file {path}: unknown key '{key}'")
-        if not isinstance(value, dict):
-            raise CliError(f"config file {path}: '{key}' must be a JSON object")
-        for sub in value:
-            if sub not in _CONFIG_SECTIONS[key]:
-                raise CliError(f"config file {path}: unknown key '{key}.{sub}'")
-
-
-def _setting(config: dict, args: argparse.Namespace, key: str, default=None):
+def _setting(config: dict, args: argparse.Namespace, key: str, section: str | None = None,
+             least: int | None = None, default=None):
+    """The flag for ``key``, else the config's ``section``, else ``params`` for
+    a measurement parameter, else the config's top level, else ``default``."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
-
-
-def _section_setting(config: dict, args: argparse.Namespace, section: str, key: str, default: int) -> int:
-    """A count a step reads from ``--key``, else ``config[section][key]``; at least 1."""
-    value = getattr(args, key)
     if value is None:
-        value = config.get(section, {}).get(key, default)
-    value = int(value)
-    if value < 1:
+        scopes = (config.get(section, {}), config.get("params", {}) if key in _PARAM_KINDS else {}, config)
+        value = next((scope[key] for scope in scopes if key in scope), default)
+    if least is not None and value is not None and value < least:
         flag = "--" + key.replace("_", "-")
-        raise CliError(f"{flag} ('{section}.{key}' in the config file) must be at least 1, got {value}")
+        raise CliError(f"{flag} ('{section}.{key}' in the config file) must be at least {least}, got {value}")
     return value
 
 
-def _build_params(config: dict, args: argparse.Namespace, section: str, defaults: dict) -> MeasurementParams:
-    merged = dict(defaults)
-    merged.update(config.get("params", {}))
-    merged.update(config.get(section, {}))
-    for flag, key in (
-        ("n_probe", "n_probe"),
-        ("m_noise", "m_noise"),
-        ("lam", "lambda"),
-        ("repeats", "repeats"),
-        ("window_ms", "receive_window_ms"),
-    ):
-        value = getattr(args, flag, None)
+def _build_params(config: dict, args: argparse.Namespace, section: str, **defaults) -> MeasurementParams:
+    """The step's measurement parameters: one that no flag or config key sets
+    takes the step's ``defaults``, else ``MeasurementParams``' own."""
+    for key in _PARAM_KINDS:
+        value = _setting(config, args, key, section)
         if value is not None:
-            merged[key] = value
+            defaults["lam" if key == "lambda" else key] = value
     try:
-        return MeasurementParams(
-            n_probe=int(merged.get("n_probe", 50)),
-            m_noise=int(merged.get("m_noise", 100)),
-            lam=float(merged.get("lambda", 0.6)),
-            repeats=int(merged.get("repeats", 10)),
-            receive_window_ms=int(merged.get("receive_window_ms", 1000)),
-        )
+        return MeasurementParams(**defaults)
     except ValueError as exc:
         raise CliError(f"invalid measurement parameters: {exc}") from exc
 
 
 def _input_path(config: dict, args: argparse.Namespace, name: str, required: bool) -> Path | None:
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get("inputs", {}).get(name)
+    value = _setting(config, args, name, "inputs")
     if value is None:
         if required:
             raise CliError(f"missing required input: {name}")
@@ -145,15 +148,7 @@ def _input_path(config: dict, args: argparse.Namespace, name: str, required: boo
 
 
 def _make_transport(config: dict, args: argparse.Namespace):
-    backend = _setting(config, args, "backend", "sim")
-    if backend == "sim":
-        sim_path = _setting(config, args, "sim_config", None)
-        if sim_path is None:
-            raise CliError("sim backend needs --sim-config (or 'sim_config' in the config file)")
-        if not Path(sim_path).is_file():
-            raise CliError(f"sim config not found: {sim_path}")
-        return SimTransport(SimConfig.load(sim_path))
-    if backend == "raw":
+    if _setting(config, args, "backend", default="sim") == "raw":
         # Spoofed traffic is inherent to these measurements, so a raw run is
         # refused outright without the explicit acknowledgment flag.
         if not getattr(args, "acknowledge_spoofing", False):
@@ -161,22 +156,26 @@ def _make_transport(config: dict, args: argparse.Namespace):
                 "raw backend emits spoofed packets; pass --acknowledge-spoofing "
                 "to confirm you are authorized to do that"
             )
-        interface = _setting(config, args, "interface", None)
-        source = _setting(config, args, "source_address", None)
+        interface = _setting(config, args, "interface")
+        source = _setting(config, args, "source_address")
         if interface is None or source is None:
             raise CliError("raw backend needs an interface and a source address")
         return RawTransport(interface, parse_address(source), allow_spoofing=True)
-    raise CliError(f"unknown backend: {backend}")
+    sim_path = _setting(config, args, "sim_config")
+    if sim_path is None:
+        raise CliError("sim backend needs --sim-config (or 'sim_config' in the config file)")
+    if not Path(sim_path).is_file():
+        raise CliError(f"sim config not found: {sim_path}")
+    return SimTransport(SimConfig.load(sim_path))
 
 
 def _open_step(args: argparse.Namespace):
     """``(config, out, seed)``: what every step opens with, in this order, so
     the same bad input always gives the same first error."""
     config = _load_config(args.config)
-    _check_config(config, args.config)
-    out = Path(_setting(config, args, "out_dir", "out"))
+    out = Path(_setting(config, args, "out_dir", default="out"))
     out.mkdir(parents=True, exist_ok=True)
-    return config, out, int(_setting(config, args, "seed", 0) or 0)
+    return config, out, _setting(config, args, "seed", default=0)
 
 
 def _record_verdicts(path: Path, key: str, resume: bool, measure) -> list[dict]:
@@ -228,13 +227,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown preset {args.preset}")
 
-    sim_path = out / "simconfig.json"
-    bundle.cfg.save(sim_path)
+    bundle.cfg.save(out / "simconfig.json")
     campaign: dict = {
         "backend": "sim",
         "seed": seed,
-        "out_dir": str(out),
-        "sim_config": str(sim_path),
+        "out_dir": ".",
+        "sim_config": "simconfig.json",
         "inputs": {},
     }
 
@@ -260,9 +258,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("rl_truth", "truth_rl.jsonl", rl_truth, fileio.write_rl_truth),
     ):
         if data:
-            path = out / filename
-            write(path, data)
-            campaign["inputs"][name] = str(path)
+            write(out / filename, data)
+            campaign["inputs"][name] = filename
 
     (out / "campaign.json").write_text(json.dumps(campaign, indent=2, sort_keys=True) + "\n")
     print(f"scenario '{args.preset}' written to {out}")
@@ -281,10 +278,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
     prefixes = fileio.read_prefix_list(_input_path(config, args, "prefixes", required=True))
     if not prefixes:
         raise CliError("prefix list is empty")
-    caps = DiscoveryCaps(
-        pair_cap=_section_setting(config, args, "discovery", "pair_cap", 50),
-        probe_cap=_section_setting(config, args, "discovery", "probe_cap", 1_000_000),
-    )
+    given = {key: _setting(config, args, key, "discovery", least=1) for key in ("pair_cap", "probe_cap")}
+    caps = DiscoveryCaps(**{key: value for key, value in given.items() if value is not None})
 
     result = run_discovery(prefixes, caps, transport, seed)
     fileio.write_pairs(out / "discovered_pairs.jsonl", result.pairs)
@@ -324,11 +319,11 @@ def _isav_verdict_record(prefix, triple, verdict) -> dict:
 def cmd_isav(args: argparse.Namespace) -> int:
     config, out, seed = _open_step(args)
     transport = _make_transport(config, args)
-    params = _build_params(config, args, "isav", {})
+    params = _build_params(config, args, "isav")
     # The supplemental pass can start from the hitlist alone.
     pairs_path = _input_path(config, args, "pairs", required=not args.supplemental)
     pairs = fileio.read_pairs(pairs_path) if pairs_path is not None else {}
-    candidates_per_prefix = _section_setting(config, args, "isav", "rvp_candidates", 3)
+    candidates_per_prefix = _setting(config, args, "rvp_candidates", "isav", least=1, default=3)
     hitlist_path = _input_path(config, args, "hitlist", required=False) if args.supplemental else None
     hitlist = fileio.read_hitlist(hitlist_path) if hitlist_path is not None else {}
 
@@ -426,7 +421,7 @@ def cmd_isav(args: argparse.Namespace) -> int:
 def cmd_reach(args: argparse.Namespace) -> int:
     config, out, seed = _open_step(args)
     transport = _make_transport(config, args)
-    params = _build_params(config, args, "reach", {"repeats": 6, "lambda": 0.7})
+    params = _build_params(config, args, "reach", repeats=6, lam=0.7)
 
     targets = fileio.read_address_list(_input_path(config, args, "targets", required=True))
     rvp_path = _input_path(config, args, "proxy_rvps", required=False)
@@ -434,7 +429,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
         rvp_path = _input_path(config, args, "pairs", required=True)
     pairs = fileio.read_pairs(rvp_path)
     all_pairs = [pair for plist in pairs.values() for pair in plist]
-    proxy_rvps = all_pairs[:_section_setting(config, args, "reach", "rvp_count", 3)]
+    proxy_rvps = all_pairs[:_setting(config, args, "rvp_count", "reach", least=1, default=3)]
     if not proxy_rvps:
         raise CliError("pairs file holds no usable proxy RVPs")
     geo = fileio.read_coords(_input_path(config, args, "coords", required=True))
@@ -499,7 +494,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
 def cmd_rl_classify(args: argparse.Namespace) -> int:
     config, out, seed = _open_step(args)
     transport = _make_transport(config, args)
-    params = _build_params(config, args, "rl_classify", {"repeats": 1})
+    params = _build_params(config, args, "rl_classify", repeats=1)
     pairs = fileio.read_pairs(_input_path(config, args, "pairs", required=True))
     flat = [pair for plist in pairs.values() for pair in plist]
 
@@ -588,9 +583,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-probe", dest="n_probe", type=int)
     parser.add_argument("--m-noise", dest="m_noise", type=int)
-    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--lambda", dest="lambda", type=float)
     parser.add_argument("--repeats", dest="repeats", type=int)
-    parser.add_argument("--window-ms", dest="window_ms", type=int)
+    parser.add_argument("--window-ms", dest="receive_window_ms", type=int)
 
 
 @functools.cache  # a parser is a web of reference cycles: build one per process

@@ -100,16 +100,13 @@ def infer_isav(avg1: float, avg2: float, avg3: float, lam: float) -> IsavVerdict
     return IsavVerdict(IsavCategory.UNCERTAIN, "none", r31, r23)
 
 
-def select_rvp(
-    candidates: Sequence[tuple[DataPair, float]], n: int
-) -> DataPair | None:
+def select_rvp(candidates: Sequence[tuple[DataPair, float]], n: int) -> DataPair:
     """Pick a vantage point whose limiter is neither too strict nor too loose.
 
-    Candidates come with a one-shot rcv1 estimate; those replying exactly once
-    or answering every probe are skipped unless nothing better exists.
+    Candidates (at least one) come with a one-shot rcv1 estimate; those
+    replying exactly once or answering every probe are skipped unless nothing
+    better exists.
     """
-    if not candidates:
-        return None
     for pair, rcv1 in candidates:
         if 1 < rcv1 < n:
             return pair

@@ -43,7 +43,7 @@ def test_simulate_writes_scenario_and_campaign_config(tmp_path):
         assert (out / name).is_file(), name
     campaign = json.loads((out / "campaign.json").read_text())
     assert campaign["backend"] == "sim"
-    assert Path(campaign["sim_config"]).is_file()
+    assert (out / campaign["sim_config"]).is_file()
 
 
 def test_discover_command(tmp_path):
@@ -101,8 +101,9 @@ def test_isav_resume_skips_completed_prefixes(tmp_path):
 
 
 def test_isav_keeps_each_routers_quiet_gap_across_every_step(tmp_path, monkeypatch):
-    """RVP scoring, the error campaign and the supplemental echo pass share one
-    pacer, so no router sees two bursts closer than the quiet gap."""
+    """RVP scoring, the error campaign and the supplemental echo pass share the
+    transport's table of when each router's last burst ended, so no router sees
+    two bursts closer than the quiet gap."""
     out = simulate_demo(tmp_path)
     pairs = out / "pairs.jsonl"
     # One prefix behind an unlimited router: its error verdict stays
@@ -272,13 +273,56 @@ def test_config_validation_failures(tmp_path):
 )
 def test_config_files_hold_only_known_keys(tmp_path, capsys, edit, named):
     out = simulate_demo(tmp_path)
-    path = tmp_path / "edited.json"
+    path = out / "edited.json"  # beside campaign.json, so its relative paths hold
     path.write_text(json.dumps(edit(json.loads((out / "campaign.json").read_text()))))
     capsys.readouterr()
     assert run_cli("reach", "--config", str(path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {path}: ") and named in err
     assert not (out / "reach_verdicts.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda c: {**c, "inputs": {**c["inputs"], "pairs": 5}}, "inputs.pairs"),
+        (lambda c: {**c, "out_dir": 7}, "out_dir"),
+        (lambda c: {**c, "params": {"n_probe": None}}, "params.n_probe"),
+        (lambda c: {**c, "seed": "abc"}, "seed"),
+        (lambda c: {**c, "isav": {"rvp_candidates": "x"}}, "isav.rvp_candidates"),
+        (lambda c: {**c, "params": {"lambda": "0.5"}}, "params.lambda"),
+        (lambda c: {**c, "seed": True}, "seed"),
+        (lambda c: {**c, "params": {"repeats": 2.7}}, "params.repeats"),
+        (lambda c: {**c, "backend": "udp"}, "backend"),
+    ],
+    ids=["path-int", "out-dir-int", "param-null", "seed-string", "count-string",
+         "lambda-string", "seed-bool", "repeats-float", "backend-choice"],
+)
+def test_config_values_of_the_wrong_kind_are_refused(tmp_path, capsys, edit, key):
+    out = simulate_demo(tmp_path)
+    path = out / "edited.json"  # beside campaign.json, so its relative paths hold
+    path.write_text(json.dumps(edit(json.loads((out / "campaign.json").read_text()))))
+    capsys.readouterr()
+    assert run_cli("isav", "--config", str(path), "--repeats", "1") == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {path}: '{key}' must be ")
+    assert not (out / "isav_verdicts.jsonl").exists()
+
+
+def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--preset", "demo", "--seed", "4", "--out", "out") == 0
+    monkeypatch.chdir(tmp_path / "out")
+    assert run_cli("isav", "--config", "campaign.json", "--repeats", "1") == 0
+    assert (tmp_path / "out" / "isav_verdicts.jsonl").is_file()
+    assert not (tmp_path / "out" / "out").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(icmpscope.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "icmpscope", "--help"], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.startswith("usage: icmpscope ")
 
 
 @pytest.mark.parametrize(
@@ -338,9 +382,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, f"PYTHONHASHSEED={hash_seed}:\n{proc.stderr}"
-        # campaign.json holds the absolute output path, so it differs.
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "campaign.json"})
-    assert "isav_verdicts.jsonl" in outputs[0] and "reach_eval.tsv" in outputs[0]
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert {"campaign.json", "isav_verdicts.jsonl", "reach_eval.tsv"} <= outputs[0].keys()
     assert outputs[0] == outputs[1]
 
 
@@ -367,7 +410,7 @@ def test_supplemental_preset_pipeline(tmp_path):
     pairs_path.write_text("")
     assert run_cli(
         "isav", "--config", str(out / "campaign.json"), "--pairs", str(pairs_path),
-        "--repeats", "2", "--supplemental", "--hitlist", config["inputs"]["hitlist"],
+        "--repeats", "2", "--supplemental", "--hitlist", str(out / config["inputs"]["hitlist"]),
     ) == 0
     verdicts = {r["prefix"]: r["verdict"] for r in fileio.read_jsonl(out / "isav_verdicts.jsonl")}
     truth = {r["prefix"]: r["isav_deployed"] for r in fileio.read_jsonl(out / "truth_isav.jsonl")}

@@ -56,7 +56,6 @@ def test_select_rvp_prefers_moderate_limiting():
     c = pair("2001:db8::c", "2001:db8::3")
     assert select_rvp([(a, 10.0), (b, 50.0), (c, 1.0)], 50) is a
     assert select_rvp([(b, 50.0)], 50) is b  # fallback when nothing moderate
-    assert select_rvp([], 50) is None
 
 
 def test_rcv_triple_statistics():
