@@ -9,11 +9,15 @@ XOR is associative, so the key parts ``a`` and ``c`` of ``mix64(a, b, c)``
 fold into one key ahead of time, as a simulated link does with its seed and
 draw index.
 
-``mix_units`` runs the finalizer on 28 values at once, packed into one int:
+``mix_words`` runs the finalizer on 28 values at once, packed into one int:
 value ``i`` fills the low half of the 128-bit lane at bit ``128 * i``. A
 64 by 64-bit product fits in its lane, so one multiply of the whole int
 multiplies every lane, and a mask after each multiply and each xor-shift
 clears the high halves, so no bit reaches the next lane before a multiply.
+The keys are packed the same way, one per lane, so one pass serves draws
+under different keys (discovery's targets, one prefix per lane); a single
+key for every lane is spread by one multiply instead, and ``mix_units`` is
+that case mapped to [0, 1).
 28 lanes make a 481-byte ``bytes`` and ints of at most 504 bytes, so every
 temporary stays in CPython's small-object allocator (up to 512 bytes), and a
 56-packet injection slice is two passes. A short chunk is padded with zeros
@@ -38,16 +42,17 @@ _pack = _LANE.pack
 _REP = int.from_bytes(_pack(*repeat(1, _LANES)), "little")  # 1 in every lane
 _LOW = _REP * _MASK64  # the low half of every lane
 _ADD = _REP * 0x9E3779B97F4A7C15
+FOLD = 0x94D049BB133111EB  # folds key part ``c`` into ``a``
 
 
 def fold_key(a: int, c: int) -> int:
-    """The key ``mix64_folded`` and ``mix_units`` take for parts ``a`` and ``c``."""
-    return a ^ (c * 0x94D049BB133111EB)
+    """The key ``mix64_folded`` and ``mix_words`` take for parts ``a`` and ``c``."""
+    return a ^ (c * FOLD)
 
 
 def mix64(a: int, b: int, c: int) -> int:
     """64-bit hash of three integer key parts."""
-    return mix64_folded(a ^ (c * 0x94D049BB133111EB), b)
+    return mix64_folded(a ^ (c * FOLD), b)
 
 
 def mix64_folded(key: int, b: int) -> int:
@@ -60,15 +65,23 @@ def mix64_folded(key: int, b: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix_units(key: int, bs: Iterable[int]) -> list[float]:
-    """``[mix64_folded(key, b) / U64 for b in bs]``, bit for bit, 28 lanes per
-    pass; every ``b`` must lie in ``[0, 2**64)``."""
+def mix_words(keys: int | Iterable[int], bs: Iterable[int]) -> list[int]:
+    """``[mix64_folded(k, b) for k, b in zip(keys, bs)]``, bit for bit, 28
+    lanes per pass. ``keys`` holds one key per lane, or is one int for every
+    lane; any int is a key, but every ``b`` must lie in ``[0, 2**64)``."""
     lanes = list(bs)
     n = len(lanes)
-    lanes.extend(repeat(0, -n % _LANES))
-    k = (key & _MASK64) * _REP
+    pad = -n % _LANES
+    lanes.extend(repeat(0, pad))
+    if isinstance(keys, int):
+        per_lane, k = None, (keys & _MASK64) * _REP
+    else:
+        per_lane = [key & _MASK64 for key in keys]
+        per_lane.extend(repeat(0, pad))
     words: list[int] = []
     for start in range(0, n, _LANES):
+        if per_lane is not None:
+            k = int.from_bytes(_pack(*per_lane[start:start + _LANES]), "little")
         z = int.from_bytes(_pack(*lanes[start:start + _LANES]), "little") * 0xBF58476D1CE4E5B9 & _LOW
         z = ((z ^ k) + _ADD) & _LOW
         z = (z ^ z >> 30) & _LOW
@@ -77,4 +90,9 @@ def mix_units(key: int, bs: Iterable[int]) -> list[float]:
         z = z * 0x94D049BB133111EB & _LOW
         words += _LANE.unpack((z ^ z >> 31).to_bytes(_LANE.size, "little"))
     del words[n:]
-    return [w / U64 for w in words]
+    return words
+
+
+def mix_units(key: int, bs: Iterable[int]) -> list[float]:
+    """``[mix64_folded(key, b) / U64 for b in bs]``, bit for bit."""
+    return [w / U64 for w in mix_words(key, bs)]

@@ -58,6 +58,9 @@ _CONFIG_KEYS = {
     "inputs": dict.fromkeys(("pairs", "prefixes", "as_map", "coords", "targets", "proxy_rvps",
                              "reach_truth", "hitlist", "isav_truth", "rl_truth"), Path),
 }
+# The least value of each count, wherever in the file it is set.
+_LEAST = {"n_probe": 1, "m_noise": 0, "repeats": 1, "receive_window_ms": 1,
+          "rvp_candidates": 1, "rvp_count": 1, "pair_cap": 1, "probe_cap": 1}
 # The JSON types each scalar kind takes, matched by ``type()``: a JSON true is a
 # bool, and a bool is no int.
 _KIND_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
@@ -90,7 +93,10 @@ def _checked(value, kind, key: str, path: str, base: Path):
     else:
         types, wanted = _KIND_TYPES[kind]
         if type(value) in types:
-            return base / value if kind is Path else value
+            least = _LEAST.get(key.rpartition(".")[2]) if kind is int else None
+            if least is None or value >= least:
+                return base / value if kind is Path else value
+            wanted = f"at least {least}"
     raise CliError(f"config file {path}: '{key}' must be {wanted}, got {json.dumps(value)}")
 
 
@@ -104,21 +110,19 @@ def _load_config(path: str | None) -> dict:
     try:
         config = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise CliError(f"config file is not valid JSON: {exc}") from exc
+        raise CliError(f"config file {path}: not valid JSON: {exc}") from exc
     return _checked(config, _CONFIG_KEYS, "", path, p.parent)
 
 
-def _setting(config: dict, args: argparse.Namespace, key: str, section: str | None = None,
-             least: int | None = None, default=None):
+def _setting(config: dict, args: argparse.Namespace, key: str, section: str | None = None, default=None):
     """The flag for ``key``, else the config's ``section``, else ``params`` for
     a measurement parameter, else the config's top level, else ``default``."""
     value = getattr(args, key, None)
     if value is None:
         scopes = (config.get(section, {}), config.get("params", {}) if key in _PARAM_KINDS else {}, config)
-        value = next((scope[key] for scope in scopes if key in scope), default)
-    if least is not None and value is not None and value < least:
-        flag = "--" + key.replace("_", "-")
-        raise CliError(f"{flag} ('{section}.{key}' in the config file) must be at least {least}, got {value}")
+        return next((scope[key] for scope in scopes if key in scope), default)
+    if key in _LEAST and key not in _PARAM_KINDS and value < _LEAST[key]:  # MeasurementParams checks those
+        raise CliError(f"--{key.replace('_', '-')} must be at least {_LEAST[key]}, got {value}")
     return value
 
 
@@ -278,7 +282,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     prefixes = fileio.read_prefix_list(_input_path(config, args, "prefixes", required=True))
     if not prefixes:
         raise CliError("prefix list is empty")
-    given = {key: _setting(config, args, key, "discovery", least=1) for key in ("pair_cap", "probe_cap")}
+    given = {key: _setting(config, args, key, "discovery") for key in ("pair_cap", "probe_cap")}
     caps = DiscoveryCaps(**{key: value for key, value in given.items() if value is not None})
 
     result = run_discovery(prefixes, caps, transport, seed)
@@ -323,7 +327,7 @@ def cmd_isav(args: argparse.Namespace) -> int:
     # The supplemental pass can start from the hitlist alone.
     pairs_path = _input_path(config, args, "pairs", required=not args.supplemental)
     pairs = fileio.read_pairs(pairs_path) if pairs_path is not None else {}
-    candidates_per_prefix = _setting(config, args, "rvp_candidates", "isav", least=1, default=3)
+    candidates_per_prefix = _setting(config, args, "rvp_candidates", "isav", default=3)
     hitlist_path = _input_path(config, args, "hitlist", required=False) if args.supplemental else None
     hitlist = fileio.read_hitlist(hitlist_path) if hitlist_path is not None else {}
 
@@ -429,7 +433,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
         rvp_path = _input_path(config, args, "pairs", required=True)
     pairs = fileio.read_pairs(rvp_path)
     all_pairs = [pair for plist in pairs.values() for pair in plist]
-    proxy_rvps = all_pairs[:_setting(config, args, "rvp_count", "reach", least=1, default=3)]
+    proxy_rvps = all_pairs[:_setting(config, args, "rvp_count", "reach", default=3)]
     if not proxy_rvps:
         raise CliError("pairs file holds no usable proxy RVPs")
     geo = fileio.read_coords(_input_path(config, args, "coords", required=True))

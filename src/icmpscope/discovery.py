@@ -7,21 +7,24 @@ permutation, so no network is ever probed in succession while another is
 still unfinished. Error messages come back quoting the probed target, which
 gives the <target, periphery> data pairs.
 
-Each round walks only the prefixes still live: a prefix that hits a stop
-condition leaves the round list for good. The permutation's prime and
-primitive root come from the small helpers below (a deterministic
-Miller-Rabin test and trial division), so importing this module loads no
-third-party package; only :func:`cyclic_permutation_blocks` imports numpy,
-when it is first run.
+Each round walks the live prefixes as columns, rebuilt only when one leaves
+for good at a stop condition: one index per prefix, one folded hash key per
+prefix, and one keyed kernel call (``_mix.mix_words``) for all the targets.
+Every live prefix sends one probe per round, so the round count is what a
+prefix has sent when it leaves. The permutation's prime and primitive root
+come from the small helpers below (a deterministic Miller-Rabin test and
+trial division), so importing this module loads no third-party package;
+only :func:`cyclic_permutation_blocks` imports numpy, when it is first run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv6Address, IPv6Network
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from icmpscope._mix import mix64
+from icmpscope._mix import FOLD, mix64, mix_words
 from icmpscope._spans import SpanTable, prefix_span
 from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan, TransportError
@@ -188,18 +191,29 @@ def generate_targets(prefix: IPv6Network, index: int, seed: int) -> int:
     For prefixes longer than /64 there are no subnet bits to rotate, so the
     index only keys the randomization of the remaining host bits.
     """
-    base = int(prefix.network_address)
     plen = prefix.prefixlen
-    digest = mix64(seed ^ plen, (base >> 64) ^ (base & ((1 << 64) - 1)), index)
-    if plen <= 64:
-        space = 1 << (64 - plen)
-        if not 0 <= index < space:
-            raise ValueError(f"index {index} out of range for /{plen}")
-        return base | (index << 64) | digest
-    host_bits = 128 - plen
+    if plen <= 64 and not 0 <= index < 1 << (64 - plen):
+        raise ValueError(f"index {index} out of range for /{plen}")
     if index < 0:
         raise ValueError("index must be >= 0")
-    return base | (digest & ((1 << host_bits) - 1))
+    return _draw_targets(*([c] for c in _target_consts(prefix, seed)), [index])[0]
+
+
+def _target_consts(prefix: IPv6Network, seed: int) -> tuple[int, int, int, int]:
+    """What every target in ``prefix`` shares: the network int, the key part
+    ``seed ^ plen``, the hash input folded from the network's two halves, and
+    the host mask."""
+    net, plen = int(prefix.network_address), prefix.prefixlen
+    return net, seed ^ plen, (net >> 64) ^ (net & ((1 << 64) - 1)), (1 << (128 - plen)) - 1
+
+
+def _draw_targets(nets: Sequence[int], keyparts: Sequence[int], folded: Sequence[int],
+                  masks: Sequence[int], indices: list[int]) -> list[int]:
+    """One target per lane, all hashed in one kernel call. The index sits at
+    bit 64, the subnet bits, and the host mask cuts it away for a prefix
+    longer than /64, leaving only the hashed interface identifier."""
+    words = mix_words([kp ^ i * FOLD for kp, i in zip(keyparts, indices)], folded)
+    return [net | (i << 64 | w) & m for net, i, w, m in zip(nets, indices, words, masks)]
 
 
 def extract_pair(obs: IcmpObservation, peripheries: dict[int, IPv6Address]) -> DataPair:
@@ -251,76 +265,75 @@ def run_discovery(
         raise ValueError("no prefixes to scan")
 
     states = {prefix: PrefixScanState(prefix) for prefix in prefixes}
-    # One slot per prefix: its state, its target indices and the (target,
-    # periphery) keys it has kept. Rounds walk the live slots in permuted order.
+    pair_cap, probe_cap = caps.pair_cap, caps.probe_cap
+    # One slot per prefix: its state, target indices and their count, the prefix
+    # and its target constants. Rounds walk the live slots in permuted order.
     slots = {
-        prefix: (st, _target_index_iter(prefix, caps.probe_cap, seed), set())
+        prefix: (st, _target_index_iter(prefix, probe_cap, seed), _index_count(prefix, probe_cap),
+                 prefix, *_target_consts(prefix, seed))
         for prefix, st in states.items()
     }
     live = [slots[prefixes[i - 1]] for i in cyclic_permutation(len(prefixes), seed)]
-    # Sorted spans for assigning returned pairs to their prefix's slot.
-    spans = SpanTable((*prefix_span(p), slots[p]) for p in prefixes)
+    # Sorted spans for assigning returned pairs to their prefix's state.
+    spans = SpanTable((*prefix_span(p), states[p]) for p in prefixes)
     src = int(transport.source_address)
     peripheries: dict[int, IPv6Address] = {}  # one address object per answering router
-    pair_cap, probe_cap = caps.pair_cap, caps.probe_cap
+    # The (target, periphery) keys kept; a target maps to one prefix's span,
+    # so one set serves every prefix.
+    seen: set[tuple[int, int]] = set()
     next_pid = 1
     rounds: list[tuple[int, tuple[IPv6Network, ...]]] = []
+    sent = 0  # rounds so far; every live slot has sent one probe in each
     aborted = False
+    leaving = True  # some slot is done: drop it and rebuild the columns
 
     while True:
+        if leaving:
+            still_live = []
+            for slot in live:
+                st = slot[0]
+                if len(st.pairs_found) < pair_cap and slot[2] > sent:
+                    still_live.append(slot)
+                else:
+                    st.sent, st.done = sent, True
+            live = still_live
+            if not live:
+                break
+            _states, iters, counts, this_round, nets, keyparts, folded, masks = zip(*live)
+            n, last_round, leaving = len(live), min(counts), False
         base = transport.now()
-        first_pid = next_pid
-        rows: list[tuple[int, int, int, int]] = []
-        probed: list[IPv6Network] = []
-        for st, indices, _seen in live:
-            index = next(indices, None)
-            if index is None:
-                st.done = True  # target space exhausted before any cap
-                continue
-            # 1 ms slots
-            rows.append((len(rows), src, generate_targets(st.prefix, index, seed), next_pid))
-            next_pid += 1
-            probed.append(st.prefix)
-            st.sent += 1
-        if not rows:
-            break
-        this_round = tuple(probed)
-        if rounds and rounds[-1][1] == this_round:
-            this_round = rounds[-1][1]  # keep one copy of an unchanged order
+        targets = _draw_targets(nets, keyparts, folded, masks, [next(it) for it in iters])
+        rows = tuple(zip(range(n), repeat(src), targets, range(next_pid, next_pid + n)))  # 1 ms slots
         rounds.append((base, this_round))
+        sent += 1
 
-        plan = SendPlan(tuple(rows))
+        plan = SendPlan(rows)
         window = CollectWindow(
             duration_ms=plan.span_ms + RESPONSE_WINDOW_MS,
             obs_filter=ObservationFilter(
-                kinds=ERROR_KINDS, probe_ids=frozenset(range(first_pid, next_pid))
+                kinds=ERROR_KINDS, probe_ids=frozenset(range(next_pid, next_pid + n))
             ),
         )
+        next_pid += n
         try:
             observations = transport.execute(plan, window)
         except TransportError:
+            for slot in live:
+                slot[0].sent = sent
             aborted = True
             break
 
         for obs in observations:
-            slot = spans.find(obs.quoted_dst)
-            if slot is None:
+            st = spans.find(obs.quoted_dst)
+            if st is None:
                 continue
-            st, _indices, seen = slot
             key = (obs.quoted_dst, obs.origin)
             if st.done or key in seen or len(st.pairs_found) >= pair_cap:
                 continue
             seen.add(key)
             st.pairs_found.append(extract_pair(obs, peripheries))
-
-        still_live = []
-        for slot in live:
-            st = slot[0]
-            if st.done or len(st.pairs_found) >= pair_cap or st.sent >= probe_cap:
-                st.done = True
-            else:
-                still_live.append(slot)
-        live = still_live
+            leaving = leaving or len(st.pairs_found) == pair_cap
+        leaving = leaving or sent == last_round
 
     return DiscoveryResult(
         pairs={prefix: st.pairs_found for prefix, st in states.items()},
@@ -330,10 +343,14 @@ def run_discovery(
     )
 
 
+def _index_count(prefix: IPv6Network, probe_cap: int) -> int:
+    """How many indices :func:`_target_index_iter` yields for ``prefix``."""
+    return probe_cap if prefix.prefixlen > 64 else min(1 << (64 - prefix.prefixlen), probe_cap)
+
+
 def _target_index_iter(prefix: IPv6Network, probe_cap: int, seed: int) -> Iterator[int]:
+    n = _index_count(prefix, probe_cap)
     if prefix.prefixlen > 64:
-        return iter(range(probe_cap))
-    space = 1 << (64 - prefix.prefixlen)
-    n = min(space, probe_cap)
+        return iter(range(n))
     per_prefix_seed = mix64(seed, int(prefix.network_address) & ((1 << 64) - 1), prefix.prefixlen)
     return (v - 1 for v in cyclic_permutation(n, per_prefix_seed))

@@ -308,6 +308,35 @@ def test_config_values_of_the_wrong_kind_are_refused(tmp_path, capsys, edit, key
     assert not (out / "isav_verdicts.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: {**c, "params": {"n_probe": 0}}, "'params.n_probe' must be at least 1, got 0"),
+        (lambda c: {**c, "params": {"m_noise": -1}}, "'params.m_noise' must be at least 0, got -1"),
+        (lambda c: {**c, "params": {"repeats": 0}}, "'params.repeats' must be at least 1, got 0"),
+        (lambda c: {**c, "reach": {"receive_window_ms": 0}}, "'reach.receive_window_ms' must be at least 1, got 0"),
+        (lambda c: {**c, "isav": {"rvp_candidates": 0}}, "'isav.rvp_candidates' must be at least 1, got 0"),
+        (lambda c: {**c, "reach": {"rvp_count": -2}}, "'reach.rvp_count' must be at least 1, got -2"),
+        (lambda c: {**c, "discovery": {"pair_cap": 0}}, "'discovery.pair_cap' must be at least 1, got 0"),
+        (lambda c: {**c, "discovery": {"probe_cap": 0}}, "'discovery.probe_cap' must be at least 1, got 0"),
+        (lambda c: "{ not json", "not valid JSON: "),
+    ],
+    ids=["n-probe", "m-noise", "repeats", "window", "rvp-candidates", "rvp-count", "pair-cap",
+         "probe-cap", "not-json"],
+)
+def test_config_file_faults_are_refused_on_loading_naming_the_file(tmp_path, capsys, edit, message):
+    """Counts below their floor and broken JSON are refused when the file is
+    loaded, by any step, even one that does not read the key."""
+    out = simulate_demo(tmp_path)
+    path = out / "edited.json"  # beside campaign.json, so its relative paths hold
+    edited = edit(json.loads((out / "campaign.json").read_text()))
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    capsys.readouterr()
+    assert run_cli("isav", "--config", str(path), "--repeats", "1") == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {path}: {message}")
+    assert not (out / "isav_verdicts.jsonl").exists()
+
+
 def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("simulate", "--preset", "demo", "--seed", "4", "--out", "out") == 0

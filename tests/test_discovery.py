@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from ipaddress import IPv6Address
+from itertools import islice
 
 import numpy as np
 import oracles
@@ -12,6 +13,7 @@ from icmpscope.discovery import (
     _next_prime,
     _prime_factors,
     _smallest_primitive_root,
+    _target_index_iter,
     cyclic_permutation,
     cyclic_permutation_blocks,
     extract_pair,
@@ -181,22 +183,52 @@ def test_discovery_interleaves_until_a_prefix_finishes():
     assert rich_done_at == 50
 
 
-def test_discovery_probes_follow_the_permuted_target_order():
-    """The targets actually probed are exactly the first `sent` entries of the
-    prefix's permuted index sequence."""
-    bundle, result = run_demo_discovery()
-    rich, _ = bundle.scan_prefixes
-    sent = result.states[rich].sent
-    # Reconstruct what the scheduler should have probed.
-    from icmpscope.discovery import _target_index_iter  # test-only introspection
+class RecordingTransport:
+    """Passes every plan on to ``inner`` and keeps its rows."""
 
-    expected_indices = []
-    it = _target_index_iter(rich, 1000, 7)
-    for _ in range(sent):
-        expected_indices.append(next(it))
-    expected = {str(IPv6Address(generate_targets(rich, i, 7))) for i in expected_indices}
-    probed = {str(pair.target) for pair in result.pairs[rich]}
-    assert probed <= expected and len(probed) == 50
+    def __init__(self, inner):
+        self.inner = inner
+        self.plans = []
+
+    @property
+    def source_address(self):
+        return self.inner.source_address
+
+    def now(self):
+        return self.inner.now()
+
+    def execute(self, plan, window):
+        self.plans.append(plan.packets)
+        return self.inner.execute(plan, window)
+
+
+def test_discovery_probes_follow_the_permuted_target_order():
+    """Each prefix's probed targets are exactly ``generate_targets`` over the
+    first ``sent`` entries of its permuted index sequence, in order, for
+    prefixes of every kind: announced, silent, one shorter than /64 whose
+    index space runs out, one longer than /64, and a single address."""
+    bundle = scenarios.build_discovery_demo(seed=7)
+    extra = [parse_prefix(p) for p in ("2001:db8:ffff:10::/63", "2001:db8:ffff:20::/80",
+                                       "2001:db8:ffff:30::7/128")]
+    prefixes = [*bundle.scan_prefixes, *extra]
+    transport = RecordingTransport(SimTransport(bundle.cfg))
+    result = run_discovery(prefixes, DiscoveryCaps(pair_cap=50, probe_cap=300), transport, seed=7)
+    assert not result.aborted and len(transport.plans) == len(result.rounds)
+    probed = {prefix: [] for prefix in prefixes}
+    for rows, (_base, round_prefixes) in zip(transport.plans, result.rounds):
+        assert len(rows) == len(round_prefixes)
+        for (_offset, src, dst, _pid), prefix in zip(rows, round_prefixes):
+            assert src == int(transport.source_address)
+            probed[prefix].append(dst)
+    for prefix in prefixes:
+        sent = result.states[prefix].sent
+        indices = list(islice(_target_index_iter(prefix, 300, 7), sent))
+        assert probed[prefix] == [generate_targets(prefix, i, 7) for i in indices], prefix
+        assert all(IPv6Address(t) in prefix for t in probed[prefix])
+    rich, *others = prefixes
+    assert [result.states[p].sent for p in others] == [300, 2, 300, 300]
+    assert len(result.pairs[rich]) == 50
+    assert {int(pair.target) for pair in result.pairs[rich]} <= set(probed[rich])
 
 
 def world_growth_over_discovery(pair_cap):
@@ -236,34 +268,37 @@ def test_pairs_share_one_periphery_object_per_router():
     assert len({id(pair.periphery) for pair in pairs}) == len(routers)
 
 
-class FailingTransport:
+class FailingTransport(RecordingTransport):
+    """Fails every plan after the first ``fail_after``."""
+
     def __init__(self, inner, fail_after):
-        self.inner = inner
-        self.calls = 0
+        super().__init__(inner)
         self.fail_after = fail_after
 
-    @property
-    def source_address(self):
-        return self.inner.source_address
-
-    def now(self):
-        return self.inner.now()
-
     def execute(self, plan, window):
-        self.calls += 1
-        if self.calls > self.fail_after:
+        if len(self.plans) >= self.fail_after:
             raise TransportError("backend fell over")
-        return self.inner.execute(plan, window)
+        return super().execute(plan, window)
 
 
 def test_discovery_flags_partial_results_on_transport_failure():
+    """A failed round counts as sent for every prefix still live; a prefix
+    that left before the failure keeps what it had sent then."""
     bundle = scenarios.build_discovery_demo(seed=7)
+    rich, silent = bundle.scan_prefixes
     transport = FailingTransport(SimTransport(bundle.cfg), fail_after=5)
     caps = DiscoveryCaps(pair_cap=50, probe_cap=1000)
     result = run_discovery(bundle.scan_prefixes, caps, transport, seed=7)
     assert result.aborted
-    rich, _ = bundle.scan_prefixes
     assert 0 < len(result.pairs[rich]) < 50
+    assert [(st.sent, st.done) for st in result.states.values()] == [(6, False), (6, False)]
+    assert len(result.rounds) == 6
+
+    transport = FailingTransport(SimTransport(bundle.cfg), fail_after=40)
+    result = run_discovery(bundle.scan_prefixes, DiscoveryCaps(pair_cap=5, probe_cap=1000), transport, seed=7)
+    assert result.aborted and len(result.pairs[rich]) == 5
+    assert (result.states[rich].sent, result.states[rich].done) == (5, True)
+    assert (result.states[silent].sent, result.states[silent].done) == (41, False)
 
 
 def test_discovery_requires_prefixes():

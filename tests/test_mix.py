@@ -5,7 +5,7 @@ import pytest
 
 from oracles import mix_unit
 
-from icmpscope._mix import U64, fold_key, mix64, mix64_folded, mix_units
+from icmpscope._mix import U64, fold_key, mix64, mix64_folded, mix_units, mix_words
 
 
 def test_mix_units_equals_mix_unit_bit_for_bit():
@@ -26,6 +26,30 @@ def test_mix_units_equals_mix_unit_bit_for_bit():
             assert mix_units(fold_key(a, c), bs) == [mix_unit(a, b, c) for b in bs]
         assert fold_key(*keys[1]) > top and fold_key(*keys[2]) < 0
         assert mix_units(fold_key(a, c), iter(bs)) == [mix_unit(a, b, c) for b in bs]
+
+
+def test_mix_words_keyed_lanes_equal_mix64_folded_bit_for_bit():
+    """The keyed pass, a different key in every lane, against the scalar hash
+    at the same lengths and end uids as above. Lanes take link keys, keys
+    above 2**64 and keys below 0 in turn, so every pass mixes all three; a
+    list of one key repeated gives what that key as one int gives."""
+    rng = random.Random(66)
+    top = (1 << 64) - 1
+    kinds = [
+        lambda: fold_key(rng.getrandbits(64), rng.choice([0, 1, 297, rng.getrandbits(16)])),
+        lambda: fold_key(rng.getrandbits(64), (1 << 79) | rng.getrandbits(79)),
+        lambda: fold_key(-1 - rng.getrandbits(64), rng.getrandbits(16)),
+    ]
+    for length in [*range(61), 111, 112, 113, 168]:
+        bs = [rng.choice([0, top, rng.getrandbits(64), rng.getrandbits(40)]) for _ in range(length)]
+        keys = [kinds[i % 3]() for i in range(length)]
+        expected = [mix64_folded(k, b) for k, b in zip(keys, bs)]
+        assert mix_words(keys, bs) == expected
+        assert mix_words(iter(keys), iter(bs)) == expected
+        if length >= 3:
+            assert len(set(keys)) == length and max(keys) > top and min(keys) < 0
+        if keys:
+            assert mix_words([keys[2 % length]] * length, bs) == mix_words(keys[2 % length], bs)
 
 
 def test_mix_units_rejects_a_uid_outside_64_bits():
