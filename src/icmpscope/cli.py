@@ -22,7 +22,7 @@ from ipaddress import IPv6Network
 from pathlib import Path
 
 from icmpscope import fileio
-from icmpscope.discovery import DiscoveryCaps, run_discovery
+from icmpscope.discovery import CAP_FLOORS, DiscoveryCaps, run_discovery
 from icmpscope.isav import (
     IsavCategory,
     aggregate_as,
@@ -30,7 +30,7 @@ from icmpscope.isav import (
     run_supplemental_echo,
     select_rvp,
 )
-from icmpscope.model import MeasurementParams, parse_address, parse_prefix
+from icmpscope.model import PARAM_FLOORS, MeasurementParams, parse_address, parse_prefix
 from icmpscope.ratelimit import MeasureTarget, classify_limiters, run_phased
 from icmpscope.reach import ReachCategory, ReachVerdict, evaluate, run_reach_campaign
 from icmpscope.simnet.config import SimConfig, oracle_rl_class
@@ -58,9 +58,8 @@ _CONFIG_KEYS = {
     "inputs": dict.fromkeys(("pairs", "prefixes", "as_map", "coords", "targets", "proxy_rvps",
                              "reach_truth", "hitlist", "isav_truth", "rl_truth"), Path),
 }
-# The least value of each count, wherever in the file it is set.
-_LEAST = {"n_probe": 1, "m_noise": 0, "repeats": 1, "receive_window_ms": 1,
-          "rvp_candidates": 1, "rvp_count": 1, "pair_cap": 1, "probe_cap": 1}
+_RVP_LEAST = {"rvp_candidates": 1, "rvp_count": 1}  # the counts no dataclass checks
+_LEAST = {**PARAM_FLOORS, **CAP_FLOORS, **_RVP_LEAST}  # each count's floor in a config file
 # The JSON types each scalar kind takes, matched by ``type()``: a JSON true is a
 # bool, and a bool is no int.
 _KIND_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
@@ -121,8 +120,8 @@ def _setting(config: dict, args: argparse.Namespace, key: str, section: str | No
     if value is None:
         scopes = (config.get(section, {}), config.get("params", {}) if key in _PARAM_KINDS else {}, config)
         return next((scope[key] for scope in scopes if key in scope), default)
-    if key in _LEAST and key not in _PARAM_KINDS and value < _LEAST[key]:  # MeasurementParams checks those
-        raise CliError(f"--{key.replace('_', '-')} must be at least {_LEAST[key]}, got {value}")
+    if key in _RVP_LEAST and value < _RVP_LEAST[key]:
+        raise CliError(f"--{key.replace('_', '-')} must be at least {_RVP_LEAST[key]}, got {value}")
     return value
 
 

@@ -8,10 +8,10 @@ still unfinished. Error messages come back quoting the probed target, which
 gives the <target, periphery> data pairs.
 
 Each round walks the live prefixes as columns, rebuilt only when one leaves
-for good at a stop condition: one index per prefix, one folded hash key per
-prefix, and one keyed kernel call (``_mix.mix_words``) for all the targets.
-Every live prefix sends one probe per round, so the round count is what a
-prefix has sent when it leaves. The permutation's prime and primitive root
+for good at a stop condition, and hashes all their targets, one folded key
+per prefix, in one kernel call (``_mix.mix_words``; scalar calls for a round
+of fewer than ``KERNEL_LANES``); a prefix's sent count is the round count
+when it leaves. The permutation's prime and primitive root
 come from the small helpers below (a deterministic Miller-Rabin test and
 trial division), so importing this module loads no third-party package;
 only :func:`cyclic_permutation_blocks` imports numpy, when it is first run.
@@ -24,7 +24,7 @@ from ipaddress import IPv6Address, IPv6Network
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from icmpscope._mix import FOLD, mix64, mix_words
+from icmpscope._mix import FOLD, mix64, mix64_folded, mix_words
 from icmpscope._spans import SpanTable, prefix_span
 from icmpscope.model import ERROR_KINDS, DataPair, IcmpObservation
 from icmpscope.transport import CollectWindow, ObservationFilter, SendPlan, TransportError
@@ -33,6 +33,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 RESPONSE_WINDOW_MS = 500  # collection time after each round's last probe
+KERNEL_LANES = 12  # fewer targets than this cost less as scalar mix64_folded calls
+CAP_FLOORS = {"pair_cap": 1, "probe_cap": 1}  # the least value of each cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,8 +45,9 @@ class DiscoveryCaps:
     probe_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.pair_cap < 1:
-            raise ValueError("pair_cap must be >= 1")
+        for name, least in CAP_FLOORS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.probe_cap < self.pair_cap:
             raise ValueError("probe_cap must be >= pair_cap")
 
@@ -209,10 +212,11 @@ def _target_consts(prefix: IPv6Network, seed: int) -> tuple[int, int, int, int]:
 
 def _draw_targets(nets: Sequence[int], keyparts: Sequence[int], folded: Sequence[int],
                   masks: Sequence[int], indices: list[int]) -> list[int]:
-    """One target per lane, all hashed in one kernel call. The index sits at
-    bit 64, the subnet bits, and the host mask cuts it away for a prefix
-    longer than /64, leaving only the hashed interface identifier."""
-    words = mix_words([kp ^ i * FOLD for kp, i in zip(keyparts, indices)], folded)
+    """One target per lane, hashed in one pass (scalar below ``KERNEL_LANES``).
+    The index sits at bit 64, the subnet bits, and the host mask cuts it away
+    for a prefix longer than /64, leaving only the hashed interface identifier."""
+    keys = [kp ^ i * FOLD for kp, i in zip(keyparts, indices)]
+    words = mix_words(keys, folded) if len(keys) >= KERNEL_LANES else list(map(mix64_folded, keys, folded))
     return [net | (i << 64 | w) & m for net, i, w, m in zip(nets, indices, words, masks)]
 
 
@@ -265,12 +269,14 @@ def run_discovery(
         raise ValueError("no prefixes to scan")
 
     states = {prefix: PrefixScanState(prefix) for prefix in prefixes}
+    if len(states) < len(prefixes):
+        raise ValueError("prefix list names a prefix more than once")
     pair_cap, probe_cap = caps.pair_cap, caps.probe_cap
-    # One slot per prefix: its state, target indices and their count, the prefix
-    # and its target constants. Rounds walk the live slots in permuted order.
+    # One slot per prefix: its state, target indices and their count, and its
+    # target constants. Rounds walk the live slots in permuted order.
     slots = {
         prefix: (st, _target_index_iter(prefix, probe_cap, seed), _index_count(prefix, probe_cap),
-                 prefix, *_target_consts(prefix, seed))
+                 *_target_consts(prefix, seed))
         for prefix, st in states.items()
     }
     live = [slots[prefixes[i - 1]] for i in cyclic_permutation(len(prefixes), seed)]
@@ -278,9 +284,7 @@ def run_discovery(
     spans = SpanTable((*prefix_span(p), states[p]) for p in prefixes)
     src = int(transport.source_address)
     peripheries: dict[int, IPv6Address] = {}  # one address object per answering router
-    # The (target, periphery) keys kept; a target maps to one prefix's span,
-    # so one set serves every prefix.
-    seen: set[tuple[int, int]] = set()
+    seen: set[tuple[int, int]] = set()  # the (target, periphery) keys kept, of every prefix
     next_pid = 1
     rounds: list[tuple[int, tuple[IPv6Network, ...]]] = []
     sent = 0  # rounds so far; every live slot has sent one probe in each
@@ -289,17 +293,14 @@ def run_discovery(
 
     while True:
         if leaving:
-            still_live = []
-            for slot in live:
-                st = slot[0]
-                if len(st.pairs_found) < pair_cap and slot[2] > sent:
-                    still_live.append(slot)
-                else:
+            for st, _indices, count, *_consts in live:
+                if len(st.pairs_found) >= pair_cap or count <= sent:
                     st.sent, st.done = sent, True
-            live = still_live
+            live = [slot for slot in live if not slot[0].done]
             if not live:
                 break
-            _states, iters, counts, this_round, nets, keyparts, folded, masks = zip(*live)
+            live_states, iters, counts, nets, keyparts, folded, masks = zip(*live)
+            this_round = tuple(st.prefix for st in live_states)
             n, last_round, leaving = len(live), min(counts), False
         base = transport.now()
         targets = _draw_targets(nets, keyparts, folded, masks, [next(it) for it in iters])
@@ -318,8 +319,8 @@ def run_discovery(
         try:
             observations = transport.execute(plan, window)
         except TransportError:
-            for slot in live:
-                slot[0].sent = sent
+            for st in live_states:
+                st.sent = sent
             aborted = True
             break
 

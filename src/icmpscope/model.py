@@ -96,6 +96,9 @@ class IcmpObservation:
             raise ValueError("error observations must carry quoted_dst")
 
 
+PARAM_FLOORS = {"n_probe": 1, "m_noise": 0, "repeats": 1, "receive_window_ms": 1}  # of MeasurementParams
+
+
 @dataclass(frozen=True, slots=True)
 class MeasurementParams:
     """Knobs shared by the rcv-counting engines.
@@ -116,14 +119,9 @@ class MeasurementParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lambda must be in (0,1), got {self.lam}")
-        if self.n_probe < 1:
-            raise ValueError("n_probe must be >= 1")
-        if self.m_noise < 0:
-            raise ValueError("m_noise must be >= 0")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.receive_window_ms <= 0:
-            raise ValueError("receive_window_ms must be positive")
+        for name, least in PARAM_FLOORS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 def _randomize_low_bits(addr: IPv6Address, keep_prefix_len: int, rng: random.Random) -> IPv6Address:

@@ -54,6 +54,19 @@ def test_discover_command(tmp_path):
     assert (out / "discovery_summary.tsv").is_file()
 
 
+@pytest.mark.parametrize("repeated", ["2001:db8:2000::/64", "2001:db8:2001::/48"])
+def test_discover_refuses_a_prefix_listed_twice(tmp_path, capsys, repeated):
+    """A /64 has one target index and a /48 many; either one listed twice is
+    an input error, not a traceback."""
+    out = simulate_demo(tmp_path)
+    prefixes = out / "twice.txt"
+    prefixes.write_text(f"{repeated}\n" + (out / "prefixes.txt").read_text() + f"{repeated}\n")
+    capsys.readouterr()
+    assert run_cli("discover", "--config", str(out / "campaign.json"), "--prefixes", str(prefixes)) == 1
+    assert capsys.readouterr().err == "error: prefix list names a prefix more than once\n"
+    assert not (out / "discovered_pairs.jsonl").exists()
+
+
 def test_isav_command_and_truth_agreement(tmp_path):
     out = simulate_demo(tmp_path)
     assert run_cli("isav", "--config", str(out / "campaign.json"), "--repeats", "2") == 0
